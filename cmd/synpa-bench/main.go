@@ -63,7 +63,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "random seed (default: suite default)")
 		parallel   = flag.Bool("parallel", true, "fan runs out over CPUs")
 		admission  = flag.String("admission", "", "open-system admission discipline for the dynamic experiment: fifo (default) | sjf | priority | backfill (dynprio compares all four regardless)")
-		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each run's quanta (0 = GOMAXPROCS, 1 = serial; bit-identical at any count; effective when per-run parallelism is active, e.g. -parallel=false; SYNPA_WORKERS overrides)")
+		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each run's quanta (0 = GOMAXPROCS, 1 = serial; bit-identical at any count; effective when per-run parallelism is active, e.g. -parallel=false)")
 		format     = flag.String("format", "text", "output format: text | json | csv")
 		ff         = flag.Bool("fastforward", true, "enable the event-driven core fast-forward engine (observationally equivalent; disable to time the per-cycle reference)")
 		perfOut    = flag.String("perfstat", "", "write per-experiment wall-time/alloc JSON to this path ('auto' picks the next BENCH_NNNN.json)")

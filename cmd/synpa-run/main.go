@@ -45,7 +45,7 @@ func main() {
 		smt        = flag.Int("smt", 0, "SMT level: hardware threads per core, 1-4 (default: the paper's SMT2 BIOS setting)")
 		quantum    = flag.Uint64("quantum", 20_000, "scheduling quantum in cycles")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each quantum (0 = GOMAXPROCS, 1 = serial; results are bit-identical at any count; SYNPA_WORKERS overrides)")
+		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each quantum (0 = GOMAXPROCS, 1 = serial; results are bit-identical at any count)")
 		sharedCch  = flag.Bool("shared-cache", false, "fleet runs: one fleet-wide concurrent prediction cache instead of per-machine private caches (bit-identical by construction; combine with -fleet)")
 		traceOut   = flag.String("trace-out", "", "write the run's event trace to this '[format:]path' (formats: chrome = Perfetto trace-event JSON, jsonl; default by extension). Needs a single policy, not -policy both")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics registry snapshot (counters/histograms, JSON) to this path")

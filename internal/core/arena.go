@@ -19,23 +19,6 @@ import (
 	"synpa/internal/predcache"
 )
 
-// invertMemo is the inversion-cache surface the placement path needs; both
-// the private predcache.InvertCache and a shared-cache InvertView satisfy
-// it. Interface dispatch selects the storage, never the values: with
-// Quantum 0 both are exact-key memos of the same pure function.
-type invertMemo interface {
-	Get(a, b []float64, fn predcache.InvertFn) ([]float64, []float64, bool)
-	Stats() predcache.Stats
-	Entries() int
-}
-
-// pairMemo is the pair-degradation analogue of invertMemo.
-type pairMemo interface {
-	Get(a, b []float64, fn predcache.PairFn) float64
-	Stats() predcache.Stats
-	Entries() int
-}
-
 // Arena is the per-request mutable state of one placement stream: scratch
 // matrices, the cross-quantum smoothing history, and this stream's cache
 // handles. An Arena is NOT safe for concurrent use — the concurrency model
@@ -79,19 +62,15 @@ type Arena struct {
 	// recycling it is bit-identical (matching.Workspace).
 	mws matching.Workspace
 
-	// The interference-prediction memo handles: private caches, or views
-	// onto the policy's shared cache.
-	inv  invertMemo
-	pair pairMemo
-	// mch memoizes whole Blossom matchings by the weight matrix's bit
-	// pattern. Always private (see predcache.MatchCache), and disabled
-	// together with the other memos.
-	mch *predcache.MatchCache
+	// memo memoizes inversions, pair predictions and whole Blossom
+	// matchings: private stores, or a handle onto the policy's shared
+	// cache (matchings stay private either way; see predcache.Handle).
+	memo *predcache.Handle
 }
 
 // NewArena builds a fresh request arena: private caches when the policy
-// has no shared cache installed, per-request views onto the shared cache
-// otherwise.
+// has no shared cache installed, a per-request handle onto the shared
+// cache otherwise.
 func (p *Policy) NewArena() *Arena {
 	a := &Arena{}
 	p.initArena(a)
@@ -99,20 +78,17 @@ func (p *Policy) NewArena() *Arena {
 }
 
 func (p *Policy) initArena(a *Arena) {
-	a.mch = predcache.NewMatch(p.opt.Cache)
 	if p.shared != nil {
-		a.inv = p.shared.InvertView()
-		a.pair = p.shared.PairView()
+		a.memo = p.shared.Handle()
 		return
 	}
-	a.inv = predcache.NewInvert(p.opt.Cache)
-	a.pair = predcache.NewPair(p.opt.Cache)
+	a.memo = predcache.New(p.opt.Cache)
 }
 
-// CacheStats returns the arena's own memo traffic (its view-local counts
+// CacheStats returns the arena's own memo traffic (its handle-local counts
 // when backed by a shared cache).
 func (a *Arena) CacheStats() (invert, pair predcache.Stats) {
-	return a.inv.Stats(), a.pair.Stats()
+	return a.memo.Stats()
 }
 
 // LastSTEstimates returns the ST category estimates computed by this
@@ -136,16 +112,14 @@ func (a *Arena) Reset() {
 	a.lastIDs = a.lastIDs[:0]
 }
 
-// MatchStats returns the arena's matching-memo traffic.
-func (a *Arena) MatchStats() predcache.Stats { return a.mch.Stats() }
-
 // SetSharedCache installs a shared concurrent memo behind every arena the
 // policy builds from now on, including the default arena behind Place.
 // Install before serving traffic: the switch rewires cache handles only,
 // and any entries already in the old private caches are dropped (a speed
 // change, never a result change — the memo layer is bit-identical by
-// construction either way). A nil cache reverts to private per-arena
-// caches.
+// construction either way). The shared cache's Options then govern the
+// arena memos in place of PolicyOptions.Cache. A nil cache reverts to
+// private per-arena caches.
 func (p *Policy) SetSharedCache(c *predcache.Shared) {
 	p.shared = c
 	p.initArena(&p.def)
@@ -160,10 +134,7 @@ func (p *Policy) SharedCache() *predcache.Shared { return p.shared }
 // caches (the whole shared cache's when one is installed — entries are
 // global there by design).
 func (p *Policy) CacheEntries() (invert, pair int) {
-	if p.shared != nil {
-		return p.shared.Entries()
-	}
-	return p.def.inv.Entries(), p.def.pair.Entries()
+	return p.def.memo.Entries()
 }
 
 // newEstMatrix returns an n×k estimate matrix backed by the double buffer

@@ -20,8 +20,8 @@ type InvertRequest struct {
 
 // InvertResult is one batched inversion's outcome. CI and CJ are the
 // estimated ST category vectors; they are slices of a per-batch backing
-// array owned by the caller (safe to mutate, unlike the cache-owned slices
-// InvertCache.Get returns).
+// array owned by the caller (safe to mutate, unlike the memo-owned slices
+// predcache.Handle.Invert returns).
 type InvertResult struct {
 	CI, CJ    []float64
 	Converged bool
@@ -83,7 +83,7 @@ func (p *Policy) InvertBatch(a *Arena, reqs []InvertRequest) []InvertResult {
 	res := make([]InvertResult, len(reqs))
 	back := make([]float64, 2*k*len(reqs))
 	for idx := range reqs {
-		ci, cj, conv := a.inv.Get(reqs[idx].FI, reqs[idx].FJ, p.invertFn)
+		ci, cj, conv := a.memo.Invert(reqs[idx].FI, reqs[idx].FJ, p.invertFn)
 		dst := back[2*k*idx : 2*k*(idx+1)]
 		res[idx].CI = dst[:k:k]
 		res[idx].CJ = dst[k : 2*k : 2*k]

@@ -82,7 +82,7 @@ func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) mac
 						mean[k] /= float64(others)
 					}
 				}
-				ci, _, _ := a.inv.Get(frac[i], mean, p.invertFn)
+				ci, _, _ := a.memo.Invert(frac[i], mean, p.invertFn)
 				copy(est[i], ci)
 				filled[i] = true
 			}
@@ -103,7 +103,7 @@ func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) mac
 	w := a.wMatrix(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			cost := a.pair.Get(est[i], est[j], p.pairFn)
+			cost := a.memo.Pair(est[i], est[j], p.pairFn)
 			if math.IsNaN(cost) || math.IsInf(cost, 0) {
 				cost = 1e6
 			}

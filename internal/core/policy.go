@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"synpa/internal/grouping"
 	"synpa/internal/machine"
@@ -83,8 +82,7 @@ type PolicyOptions struct {
 	// (internal/predcache) behind the policy's Invert and PairDegradation
 	// evaluations. The zero value enables exact-key caching, which is
 	// bit-identical to uncached evaluation by construction; set
-	// Cache.Disabled — or the SYNPA_PREDCACHE=0 environment variable — to
-	// evaluate the model directly every quantum.
+	// Cache.Disabled to evaluate the model directly every quantum.
 	Cache predcache.Options
 	// Name overrides the policy name in experiment output.
 	Name string
@@ -151,13 +149,6 @@ func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	case opt.Hysteresis >= 1:
 		return nil, fmt.Errorf("core: hysteresis %v must be below 1", opt.Hysteresis)
 	}
-	// The cache is an exact bit-pattern-keyed memo: disabling it changes
-	// wall time, never a result bit, so the escape hatch cannot perturb
-	// any observable output.
-	//synpa:lint-allow nondet cache bypass is bit-identical by construction (exact-key memo)
-	if os.Getenv("SYNPA_PREDCACHE") == "0" {
-		opt.Cache.Disabled = true
-	}
 	p := &Policy{model: m, opt: opt}
 	p.invertFn = func(a, b []float64) ([]float64, []float64, bool) {
 		return p.model.Invert(a, b, p.opt.Inversion)
@@ -197,7 +188,7 @@ func (p *Policy) LastSTEstimates() [][]float64 { return p.def.lastST }
 
 // CacheStats returns the interference-prediction memo layer's traffic
 // counters for the default arena's inversion and pair-degradation caches
-// (its view-local counts when a shared cache is installed).
+// (its handle-local counts when a shared cache is installed).
 func (p *Policy) CacheStats() (invert, pair predcache.Stats) {
 	return p.def.CacheStats()
 }
@@ -252,7 +243,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 			continue
 		}
 		fj := p.opt.Extract(st.Samples[mate], st.DispatchWidth)
-		ci, cj, _ := a.inv.Get(fi, fj, p.invertFn)
+		ci, cj, _ := a.memo.Invert(fi, fj, p.invertFn)
 		copy(est[i], ci)
 		copy(est[mate], cj)
 	}
@@ -269,7 +260,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 			var cost float64
 			switch {
 			case i < n && j < n:
-				cost = a.pair.Get(est[i], est[j], p.pairFn)
+				cost = a.memo.Pair(est[i], est[j], p.pairFn)
 			case i < n || j < n:
 				cost = 1 // real app running alone
 			default:
@@ -402,7 +393,7 @@ func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
 		// hysteresis holds co-runner sets (and with them the pair-memoized
 		// weight matrices) stable for long stretches, so steady state
 		// answers the O(n³) solve with a hash lookup.
-		return a.mch.Get(w, func(w [][]float64) ([]int, error) {
+		return a.memo.Match(w, func(w [][]float64) ([]int, error) {
 			mate, _, err := a.mws.MinWeightMatching(w)
 			return mate, err
 		})

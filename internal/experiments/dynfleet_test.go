@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"testing"
 
+	"synpa/internal/core"
 	"synpa/internal/fleet"
 	"synpa/internal/workload"
 )
@@ -93,6 +95,38 @@ func TestDynFleetBaseline(t *testing.T) {
 	}
 	if rep.MaxMachineJobs < rep.MinMachineJobs || rep.Imbalance < 1 {
 		t.Fatalf("impossible imbalance accounting: %+v", rep)
+	}
+}
+
+// TestDynFleetWorkersBitIdentical runs the bursty fleet scenario under
+// interference dispatch and SYNPA placement with the suite's worker count
+// set to 1 and to 4, and demands identical reports — private-cache
+// counters included.
+func TestDynFleetWorkersBitIdentical(t *testing.T) {
+	model := core.PaperCoefficients()
+	run := func(workers int) *fleet.Report {
+		cfg := fastConfig()
+		cfg.Parallel = false
+		cfg.Machine.Parallel = true
+		cfg.Machine.Workers = workers
+		s := NewSuite(cfg)
+		sc := FleetScenarios(cfg.Seed, cfg.Machine.QuantumCycles)[2]
+		rep, err := s.runFleet(sc, fleet.DispatchInterference, SYNPAFactory(model, core.PolicyOptions{}), model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Workers != workers {
+			t.Fatalf("fleet ran %d workers, want %d", rep.Workers, workers)
+		}
+		rep.Workers = 0
+		return rep
+	}
+	serial, parallel := run(1), run(4)
+	if serial.PredCache.PairHits == 0 {
+		t.Fatal("SYNPA placement produced no pair-memo hits")
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("fleet reports diverge between Workers=1 and Workers=4\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 

@@ -69,8 +69,8 @@ type Config struct {
 	// and the report is marked Truncated.
 	MaxCycles uint64
 	// Workers bounds the goroutines that shard due machines at an event
-	// time. Zero selects GOMAXPROCS; one serialises. SYNPA_WORKERS
-	// overrides. Results are bit-identical at every worker count.
+	// time. Zero selects GOMAXPROCS; one serialises. Results are
+	// bit-identical at every worker count.
 	Workers int
 	// SketchAlpha is the quantile sketches' relative accuracy; zero
 	// selects the stats package default.
@@ -118,8 +118,8 @@ type Report struct {
 	Policy    string
 	Admission string
 	Dispatch  string
-	// Machines and Workers echo the configuration (Workers after the
-	// environment override).
+	// Machines and Workers echo the configuration (Workers resolved
+	// against the GOMAXPROCS default).
 	Machines int
 	Workers  int
 	// Jobs counts dispatched arrivals; Completed those that finished;
@@ -380,7 +380,7 @@ func Run(cfg Config, src Source) (*Report, error) {
 		return nil, err
 	}
 
-	workers := machine.WorkersFromEnv(cfg.Workers, cfg.Machines, true)
+	workers := machine.ResolveWorkers(cfg.Workers, cfg.Machines, true)
 	sp := pool.NewShardPool(workers)
 	defer sp.Close()
 

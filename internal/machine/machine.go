@@ -41,10 +41,9 @@ type Config struct {
 	Parallel bool
 	// Workers bounds the worker goroutines that shard the per-core
 	// stepping within one quantum (workers.go). Zero selects GOMAXPROCS;
-	// one disables sharding. The SYNPA_WORKERS environment variable
-	// overrides it (SYNPA_WORKERS=1 disables). Results are bit-identical
-	// at every worker count: cores are state-isolated within a quantum and
-	// the merge order is fixed (see workers.go).
+	// one disables sharding. Results are bit-identical at every worker
+	// count: cores are state-isolated within a quantum and the merge
+	// order is fixed (see workers.go).
 	Workers int
 	// FastForward enables the event-driven fast-forward engine in every
 	// core (internal/smtcore/DESIGN.md). The engine is observationally

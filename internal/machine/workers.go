@@ -21,57 +21,37 @@
 package machine
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 
 	"synpa/internal/pool"
 )
 
-// WorkersEnv is the environment variable that overrides Config.Workers:
-// SYNPA_WORKERS=1 disables intra-run parallelism, higher values cap the
-// worker count.
-const WorkersEnv = "SYNPA_WORKERS"
-
-// WorkersFromEnv resolves a configured worker count against the
-// SYNPA_WORKERS override and a GOMAXPROCS default: the environment wins
-// when set, a non-positive configured count falls back to GOMAXPROCS when
-// parallel (1 otherwise), and the result is clamped to [1, tasks].
-func WorkersFromEnv(configured, tasks int, parallel bool) int {
+// ResolveWorkers resolves a configured worker count: a non-positive count
+// falls back to GOMAXPROCS when parallel (1 otherwise), and the result is
+// clamped to [1, tasks].
+func ResolveWorkers(configured, tasks int, parallel bool) int {
 	w := configured
-	// The worker count chooses how cores are sharded across goroutines,
-	// never what any core computes: the quantum barrier makes every width
-	// bit-identical (the parallel-merge invariant in smtcore/DESIGN.md),
-	// so reading the host here cannot reach an observable bit.
-	//synpa:lint-allow nondet worker width is output-neutral under the parallel-merge invariant
-	if s := os.Getenv(WorkersEnv); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 1 {
-			w = v
-		}
-	}
 	if w <= 0 {
 		if !parallel {
 			return 1
 		}
+		// The worker count chooses how cores are sharded across
+		// goroutines, never what any core computes: the quantum barrier
+		// makes every width bit-identical (the parallel-merge invariant in
+		// smtcore/DESIGN.md), so reading the host here cannot reach an
+		// observable bit.
 		//synpa:lint-allow nondet GOMAXPROCS only sizes the shard pool; results are bit-identical at any width
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(max(w, 1), max(tasks, 1))
 }
 
 // EffectiveWorkers resolves the worker count a machine built from this
-// configuration will step cores with: the SYNPA_WORKERS environment
-// variable when set, else Config.Workers, else GOMAXPROCS — all capped at
-// the core count, and forced to 1 when Parallel is false (the knob callers
-// already use to serialise runs they fan out themselves).
+// configuration will step cores with: Config.Workers, else GOMAXPROCS —
+// capped at the core count, and forced to 1 when Parallel is false (the
+// knob callers already use to serialise runs they fan out themselves).
 func (c Config) EffectiveWorkers() int {
-	return WorkersFromEnv(c.Workers, c.Cores, c.Parallel)
+	return ResolveWorkers(c.Workers, c.Cores, c.Parallel)
 }
 
 // startPool launches the run-scoped worker pool and returns its stop

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"synpa/internal/apps"
@@ -121,7 +122,7 @@ func TestRunDynamicWorkersBitIdentical(t *testing.T) {
 }
 
 // TestEffectiveWorkers covers the resolution rules: Parallel gating, the
-// explicit count, and the core-count cap.
+// explicit count, the core-count cap and the GOMAXPROCS default.
 func TestEffectiveWorkers(t *testing.T) {
 	cfg := testConfig() // Parallel=false
 	if w := cfg.EffectiveWorkers(); w != 1 {
@@ -136,10 +137,9 @@ func TestEffectiveWorkers(t *testing.T) {
 	if w := cfg.EffectiveWorkers(); w != cfg.Cores {
 		t.Fatalf("Workers above core count resolved %d, want %d", w, cfg.Cores)
 	}
-	t.Setenv(WorkersEnv, "1")
-	cfg.Workers = 4
-	if w := cfg.EffectiveWorkers(); w != 1 {
-		t.Fatalf("SYNPA_WORKERS=1 resolved %d workers", w)
+	cfg.Workers = 0
+	if w, want := cfg.EffectiveWorkers(), min(runtime.GOMAXPROCS(0), cfg.Cores); w != want {
+		t.Fatalf("default Workers resolved %d, want GOMAXPROCS capped at the core count = %d", w, want)
 	}
 }
 

@@ -8,7 +8,7 @@
 // `synpa-lint nondet` rule set (it is a corePackages member) and trace
 // output is a pure function of Config + seed. The same run produces
 // byte-identical trace and metrics output at every worker count, which the
-// differential tests pin at SYNPA_WORKERS=1 vs 4.
+// differential tests pin at Workers 1 vs 4.
 //
 // Worker-count invariance rests on the PR-4/PR-6 parallel-merge invariant:
 // events are emitted only from coordinator-serial code (admission,

@@ -1,9 +1,36 @@
 package predcache
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
+
+// forms is the table every memo case runs against: a private handle, and a
+// handle onto a four-shard Shared.
+var forms = []struct {
+	name   string
+	handle func(Options) *Handle
+}{
+	{"private", New},
+	{"shared", func(opt Options) *Handle { return NewShared(opt, 4).Handle() }},
+}
+
+func forEachForm(t *testing.T, run func(t *testing.T, handle func(Options) *Handle)) {
+	for _, f := range forms {
+		t.Run(f.name, func(t *testing.T) { run(t, f.handle) })
+	}
+}
+
+// totals returns the traffic behind h: the whole Shared's for a shared
+// handle, the handle's own otherwise.
+func totals(h *Handle) (invert, pair Stats) {
+	if h.shared != nil {
+		return h.shared.Stats()
+	}
+	return h.Stats()
+}
 
 func evalPair(a, b []float64) float64 {
 	s := 0.0
@@ -14,119 +41,221 @@ func evalPair(a, b []float64) float64 {
 }
 
 func TestPairCacheHitsAndValues(t *testing.T) {
-	c := NewPair(Options{})
-	a := []float64{0.3, 0.5, 0.2}
-	b := []float64{0.1, 0.1, 0.8}
-	calls := 0
-	fn := func(x, y []float64) float64 { calls++; return evalPair(x, y) }
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{})
+		a := []float64{0.3, 0.5, 0.2}
+		b := []float64{0.1, 0.1, 0.8}
+		calls := 0
+		fn := func(x, y []float64) float64 { calls++; return evalPair(x, y) }
 
-	v1 := c.Get(a, b, fn)
-	v2 := c.Get(a, b, fn)
-	if v1 != v2 {
-		t.Fatalf("cached value %v != fresh %v", v2, v1)
-	}
-	if calls != 1 {
-		t.Fatalf("fn called %d times for two identical lookups", calls)
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("stats %+v, want 1 hit 1 miss", s)
-	}
-	// Order matters: (b, a) is a distinct key.
-	c.Get(b, a, fn)
-	if calls != 2 {
-		t.Fatalf("swapped arguments did not miss (calls=%d)", calls)
-	}
-	// A one-ulp perturbation must miss at exact precision.
-	a2 := append([]float64(nil), a...)
-	a2[0] = math.Nextafter(a2[0], 1)
-	c.Get(a2, b, fn)
-	if calls != 3 {
-		t.Fatal("one-ulp perturbation hit the exact-key cache")
-	}
+		v1 := h.Pair(a, b, fn)
+		v2 := h.Pair(a, b, fn)
+		if v1 != v2 {
+			t.Fatalf("cached value %v != fresh %v", v2, v1)
+		}
+		if calls != 1 {
+			t.Fatalf("fn called %d times for two identical lookups", calls)
+		}
+		if _, s := h.Stats(); s.Hits != 1 || s.Misses != 1 {
+			t.Fatalf("stats %+v, want 1 hit 1 miss", s)
+		}
+		if _, s := totals(h); s.Hits != 1 || s.Misses != 1 {
+			t.Fatalf("whole-cache stats %+v, want 1 hit 1 miss", s)
+		}
+		// Order matters: (b, a) is a distinct key.
+		h.Pair(b, a, fn)
+		if calls != 2 {
+			t.Fatalf("swapped arguments did not miss (calls=%d)", calls)
+		}
+		// A one-ulp perturbation must miss.
+		a2 := append([]float64(nil), a...)
+		a2[0] = math.Nextafter(a2[0], 1)
+		h.Pair(a2, b, fn)
+		if calls != 3 {
+			t.Fatal("one-ulp perturbation hit the exact-key cache")
+		}
+		if _, ep := h.Entries(); ep != 3 {
+			t.Fatalf("%d pair entries, want 3", ep)
+		}
+
+		// Matchings are memoized too, and every answer is the caller's
+		// own copy.
+		solves := 0
+		match := func([][]float64) ([]int, error) { solves++; return []int{1, 0}, nil }
+		w := [][]float64{{0, 0.5}, {0.5, 0}}
+		m1, _ := h.Match(w, match)
+		m1[0] = 7
+		if m2, _ := h.Match(w, match); solves != 1 || m2[0] != 1 {
+			t.Fatalf("match memo: %d solves, second answer %v", solves, m2)
+		}
+	})
 }
 
 func TestPairCacheDisabled(t *testing.T) {
-	c := NewPair(Options{Disabled: true})
-	calls := 0
-	fn := func(x, y []float64) float64 { calls++; return 1 }
-	c.Get([]float64{1}, []float64{2}, fn)
-	c.Get([]float64{1}, []float64{2}, fn)
-	if calls != 2 {
-		t.Fatalf("disabled cache memoized (calls=%d)", calls)
-	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("disabled cache counted traffic: %+v", s)
-	}
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{Disabled: true})
+		calls := 0
+		fn := func(x, y []float64) float64 { calls++; return 1 }
+		inv := func(a, b []float64) ([]float64, []float64, bool) { calls++; return a, b, true }
+		for range 2 {
+			h.Pair([]float64{1}, []float64{2}, fn)
+			h.Invert([]float64{1}, []float64{2}, inv)
+		}
+		if calls != 4 {
+			t.Fatalf("disabled cache memoized (calls=%d)", calls)
+		}
+		if inv, pair := totals(h); inv != (Stats{}) || pair != (Stats{}) {
+			t.Fatalf("disabled cache counted traffic: %+v %+v", inv, pair)
+		}
+		if ei, ep := h.Entries(); ei != 0 || ep != 0 {
+			t.Fatalf("disabled cache holds entries: %d %d", ei, ep)
+		}
+	})
 }
 
-func TestPairCacheQuantization(t *testing.T) {
-	c := NewPair(Options{Quantum: 0.01})
-	calls := 0
-	fn := func(x, y []float64) float64 { calls++; return evalPair(x, y) }
-	b := []float64{0.5}
-	c.Get([]float64{0.1001}, b, fn)
-	c.Get([]float64{0.1002}, b, fn) // same 0.01 bucket -> hit
-	if calls != 1 {
-		t.Fatalf("quantized keys missed (calls=%d)", calls)
-	}
-	c.Get([]float64{0.12}, b, fn) // different bucket
-	if calls != 2 {
-		t.Fatal("distinct bucket hit")
-	}
-}
-
+// TestPairCacheReset overflows an 8-entry cache — in the shared form, 2
+// entries in each of 4 shards — and checks that resets keep every store
+// within its bound without losing correctness.
 func TestPairCacheReset(t *testing.T) {
-	c := NewPair(Options{MaxEntries: 4})
-	fn := func(x, y []float64) float64 { return x[0] + y[0] }
-	for i := 0; i < 10; i++ {
-		c.Get([]float64{float64(i)}, []float64{1}, fn)
-	}
-	s := c.Stats()
-	if s.Resets == 0 {
-		t.Fatalf("no reset after overflowing MaxEntries: %+v", s)
-	}
-	// Values stay correct across resets.
-	if v := c.Get([]float64{3}, []float64{1}, fn); v != 4 {
-		t.Fatalf("post-reset value %v", v)
-	}
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{MaxEntries: 8})
+		fn := func(x, y []float64) float64 { return x[0] + y[0] }
+		for i := range 64 {
+			if v := h.Pair([]float64{float64(i)}, []float64{1}, fn); v != float64(i)+1 {
+				t.Fatalf("wrong value %v for key %d", v, i)
+			}
+		}
+		if _, s := totals(h); s.Resets == 0 {
+			t.Fatalf("no reset after 64 inserts into an 8-entry cache: %+v", s)
+		}
+		if _, ep := h.Entries(); ep > 8 {
+			t.Fatalf("%d entries exceed the 8-entry bound", ep)
+		}
+		// Values stay correct across resets.
+		if v := h.Pair([]float64{3}, []float64{1}, fn); v != 4 {
+			t.Fatalf("post-reset value %v", v)
+		}
+	})
 }
 
 func TestInvertCacheSharesResults(t *testing.T) {
-	c := NewInvert(Options{})
-	calls := 0
-	fn := func(a, b []float64) ([]float64, []float64, bool) {
-		calls++
-		return []float64{a[0] * 2}, []float64{b[0] * 2}, true
-	}
-	a, b := []float64{1.5}, []float64{2.5}
-	ca1, cb1, conv1 := c.Get(a, b, fn)
-	ca2, cb2, conv2 := c.Get(a, b, fn)
-	if calls != 1 {
-		t.Fatalf("fn called %d times", calls)
-	}
-	if !conv1 || !conv2 {
-		t.Fatal("converged flag lost")
-	}
-	if &ca1[0] != &ca2[0] || &cb1[0] != &cb2[0] {
-		t.Fatal("hit did not return the shared cached slices")
-	}
-	if ca1[0] != 3 || cb1[0] != 5 {
-		t.Fatalf("cached values %v %v", ca1, cb1)
-	}
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{})
+		calls := 0
+		fn := func(a, b []float64) ([]float64, []float64, bool) {
+			calls++
+			return []float64{a[0] * 2}, []float64{b[0] * 2}, true
+		}
+		a, b := []float64{1.5}, []float64{2.5}
+		ca1, cb1, conv1 := h.Invert(a, b, fn)
+		ca2, cb2, conv2 := h.Invert(a, b, fn)
+		if calls != 1 {
+			t.Fatalf("fn called %d times", calls)
+		}
+		if !conv1 || !conv2 {
+			t.Fatal("converged flag lost")
+		}
+		if &ca1[0] != &ca2[0] || &cb1[0] != &cb2[0] {
+			t.Fatal("hit did not return the shared cached slices")
+		}
+		if ca1[0] != 3 || cb1[0] != 5 {
+			t.Fatalf("cached values %v %v", ca1, cb1)
+		}
+		if h.shared == nil {
+			return
+		}
+		// A second handle hits entries the first stored — the point of
+		// sharing — while keeping its own local stats.
+		h2 := h.shared.Handle()
+		if ca3, _, _ := h2.Invert(a, b, fn); calls != 1 || &ca3[0] != &ca1[0] {
+			t.Fatal("second handle missed an entry the first handle stored")
+		}
+		if st, _ := h2.Stats(); st.Hits != 1 || st.Misses != 0 {
+			t.Fatalf("handle-local stats %+v, want 1 hit 0 misses", st)
+		}
+		if inv, _ := h.shared.Stats(); inv.Hits != 2 || inv.Misses != 1 {
+			t.Fatalf("shared stats %+v, want 2 hits 1 miss", inv)
+		}
+		if ei, _ := h2.Entries(); ei != 1 {
+			t.Fatalf("%d shared inversion entries, want 1", ei)
+		}
+	})
 }
 
 func TestKeySeparatesSplits(t *testing.T) {
 	// (a=[x], b=[y,z]) and (a=[x,y], b=[z]) must not collide: the length
 	// prefix disambiguates the split.
-	c := NewPair(Options{})
-	calls := 0
-	fn := func(x, y []float64) float64 { calls++; return float64(len(x)) }
-	v1 := c.Get([]float64{1}, []float64{2, 3}, fn)
-	v2 := c.Get([]float64{1, 2}, []float64{3}, fn)
-	if calls != 2 {
-		t.Fatal("split ambiguity: second lookup hit the first key")
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{})
+		calls := 0
+		fn := func(x, y []float64) float64 { calls++; return float64(len(x)) }
+		v1 := h.Pair([]float64{1}, []float64{2, 3}, fn)
+		v2 := h.Pair([]float64{1, 2}, []float64{3}, fn)
+		if calls != 2 {
+			t.Fatal("split ambiguity: second lookup hit the first key")
+		}
+		if v1 == v2 {
+			t.Fatalf("values collided: %v %v", v1, v2)
+		}
+	})
+}
+
+func TestSharedShardCountRounding(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, DefaultShards}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
+	} {
+		if got := NewShared(Options{}, tc.in).NumShards(); got != tc.want {
+			t.Errorf("NewShared(shards=%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+		}
 	}
-	if v1 == v2 {
-		t.Fatalf("values collided: %v %v", v1, v2)
+}
+
+// TestSharedShardStress hammers one shared cache from many goroutines over
+// an overlapping key set — the -race gate for the concurrent path — and
+// checks every returned value is the pure function's value and the summed
+// stats account for every lookup.
+func TestSharedShardStress(t *testing.T) {
+	s := NewShared(Options{MaxEntries: 256}, 8)
+	const goroutines = 8
+	const perG = 2000
+	const keys = 97 // overlapping working set, coprime with goroutines
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := s.Handle()
+			invFn := func(a, b []float64) ([]float64, []float64, bool) {
+				return []float64{a[0] * 2}, []float64{b[0] * 3}, true
+			}
+			pairFn := func(a, b []float64) float64 { return a[0]*10 + b[0] }
+			for i := range perG {
+				k := float64((g*perG + i) % keys)
+				a, b := []float64{k}, []float64{k + 1}
+				ca, cb, conv := h.Invert(a, b, invFn)
+				if !conv || ca[0] != k*2 || cb[0] != (k+1)*3 {
+					errc <- fmt.Errorf("wrong cached inversion for key %v under concurrency", k)
+					return
+				}
+				if v := h.Pair(a, b, pairFn); v != k*10+k+1 {
+					errc <- fmt.Errorf("wrong cached pair value for key %v under concurrency", k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	inv, pair := s.Stats()
+	total := uint64(goroutines * perG)
+	if inv.Hits+inv.Misses != total || pair.Hits+pair.Misses != total {
+		t.Fatalf("stats do not account for all traffic: invert=%+v pair=%+v want %d each", inv, pair, total)
+	}
+	if inv.Hits == 0 || pair.Hits == 0 {
+		t.Fatal("overlapping key set produced no hits")
 	}
 }

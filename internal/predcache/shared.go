@@ -1,41 +1,28 @@
-// Shared is the concurrent form of the memo layer: one cache serving many
-// goroutines — every machine in a fleet, or every in-flight request on the
-// reentrant policy path — instead of each warming its own cold private map.
+// Shared is the concurrent form of the memo layer: one set of inversion
+// and pair-prediction entries serving many goroutines — every machine in a
+// fleet, or every in-flight request on the reentrant policy path — instead
+// of each warming its own cold private stores.
 //
 // # Bit-identity under concurrent sharing
 //
-// The package-comment argument extends unchanged: with Quantum = 0 a hit
-// implies the inputs are bit-identical to an earlier call, and the memoized
-// functions are pure, so every value a shard ever returns for a key is the
-// bit-identical value a fresh evaluation would produce. Concurrency changes
-// only *which* calls hit: two goroutines racing on the same cold key may
-// both miss and both evaluate, but they evaluate the same pure function on
-// bit-identical inputs, so whichever store wins the shard lock publishes
-// the same bits. Simulation outputs therefore cannot depend on the
+// The package-comment argument extends unchanged: a hit implies the inputs
+// are bit-identical to an earlier call, and the memoized functions are
+// pure, so every value a shard ever returns for a key is the bit-identical
+// value a fresh evaluation would produce. Concurrency changes only *which*
+// calls hit (see memo.get): simulation outputs cannot depend on the
 // schedule; only the hit/miss *counters* (and reset timing) are
 // schedule-dependent, which is why the engines exclude shared-cache
 // counter deltas from worker-count-invariant traces.
 //
 // # Structure
 //
-// Keys hash (FNV-1a over the key bytes) onto a power-of-two shard array;
-// each shard is an independently locked map pair with its own
-// deterministic overflow reset (full clear at MaxEntries/shards, changing
-// only speed, never results). Stats are per-shard atomics so they can be
-// summed without stopping traffic. Memoized functions are evaluated
-// *outside* the shard lock — the expensive Newton inversions never
-// serialise on a shard.
-//
-// Callers do not use a Shared directly: each request/goroutine derives
-// InvertView/PairView handles, which carry the per-request key scratch and
-// a local Stats so per-caller traffic stays observable. Views are not
-// concurrency-safe; the Shared behind them is.
+// Keys hash (FNV-1a over the key bytes) onto a power-of-two array of the
+// package's one store, per memoized function; each shard locks
+// independently and clears at MaxEntries/shards. Callers do not use a
+// Shared directly: each request/goroutine derives a Handle, which carries
+// the per-request key scratch and its own Stats so per-caller traffic
+// stays observable.
 package predcache
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // DefaultShards is the shard count when NewShared is given 0 — enough to
 // keep lock contention negligible at fleet worker counts without bloating
@@ -44,23 +31,12 @@ const DefaultShards = 16
 
 // Shared is an N-shard concurrent memo for both the inversion and the
 // pair-degradation functions. Safe for use from any number of goroutines;
-// derive per-request handles with InvertView/PairView.
+// derive per-goroutine handles with Handle.
 type Shared struct {
-	opt         Options
-	mask        uint64
-	maxPerShard int
-	shards      []sharedShard
-}
-
-type sharedShard struct {
-	mu   sync.Mutex
-	pair map[string]float64
-	inv  map[string]invertEntry
-
-	// Traffic counters: incremented by view traffic, read lock-free by
-	// Shared.Stats while other goroutines keep hitting the shard.
-	pairHits, pairMisses, pairResets atomic.Uint64
-	invHits, invMisses, invResets    atomic.Uint64
+	opt  Options
+	mask uint64
+	inv  []memo[invertEntry]
+	pair []memo[float64]
 }
 
 // NewShared builds a shared cache with the given options and shard count
@@ -79,24 +55,18 @@ func NewShared(opt Options, shards int) *Shared {
 	if opt.Disabled {
 		return s
 	}
-	per := opt.maxEntries() / n
-	if per < 1 {
-		per = 1
-	}
-	s.maxPerShard = per
-	s.shards = make([]sharedShard, n)
-	for i := range s.shards {
-		s.shards[i].pair = make(map[string]float64)
-		s.shards[i].inv = make(map[string]invertEntry)
+	per := max(opt.maxEntries()/n, 1)
+	s.inv = make([]memo[invertEntry], n)
+	s.pair = make([]memo[float64], n)
+	for i := range n {
+		s.inv[i] = memo[invertEntry]{m: make(map[string]invertEntry), max: per, locked: true}
+		s.pair[i] = memo[float64]{m: make(map[string]float64), max: per, locked: true}
 	}
 	return s
 }
 
 // NumShards returns the (power-of-two) shard count, 0 when disabled.
-func (s *Shared) NumShards() int { return len(s.shards) }
-
-// Disabled reports whether the cache is a pass-through.
-func (s *Shared) Disabled() bool { return s.opt.Disabled }
+func (s *Shared) NumShards() int { return len(s.inv) }
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -104,157 +74,45 @@ const (
 )
 
 // shard selects the key's home shard by FNV-1a over the key bytes.
-func (s *Shared) shard(key []byte) *sharedShard {
+func (s *Shared) shard(key []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	return &s.shards[h&s.mask]
+	return h & s.mask
+}
+
+// Handle derives a per-goroutine handle: inversions and pair predictions
+// go to the shared shards, matchings to a private store of the handle's
+// own (see Handle.Match).
+func (s *Shared) Handle() *Handle {
+	h := &Handle{disabled: s.opt.Disabled, shared: s}
+	if !s.opt.Disabled {
+		h.mch = newMemo[[]int](s.opt.maxEntries(), false)
+	}
+	return h
 }
 
 // Stats sums the per-shard traffic counters. Callable concurrently with
-// traffic; a snapshot taken mid-run may straddle in-flight Gets.
+// traffic; a snapshot taken mid-run may straddle in-flight lookups.
 func (s *Shared) Stats() (invert, pair Stats) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		invert.Hits += sh.invHits.Load()
-		invert.Misses += sh.invMisses.Load()
-		invert.Resets += sh.invResets.Load()
-		pair.Hits += sh.pairHits.Load()
-		pair.Misses += sh.pairMisses.Load()
-		pair.Resets += sh.pairResets.Load()
+	for i := range s.inv {
+		st, _ := s.inv[i].snapshot()
+		invert.add(st)
+		st, _ = s.pair[i].snapshot()
+		pair.add(st)
 	}
 	return invert, pair
 }
 
 // Entries counts the currently resident entries across all shards.
 func (s *Shared) Entries() (invert, pair int) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		invert += len(sh.inv)
-		pair += len(sh.pair)
-		sh.mu.Unlock()
+	for i := range s.inv {
+		_, n := s.inv[i].snapshot()
+		invert += n
+		_, n = s.pair[i].snapshot()
+		pair += n
 	}
 	return invert, pair
-}
-
-// InvertView is one request's handle onto the shared inversion memo: it
-// owns the key scratch and a local Stats, and forwards storage to the
-// Shared. Not safe for concurrent use — derive one per goroutine. It
-// implements the same Get/Stats surface as a private InvertCache.
-type InvertView struct {
-	s     *Shared
-	key   []byte
-	stats Stats
-}
-
-// InvertView derives a per-request inversion handle.
-func (s *Shared) InvertView() *InvertView {
-	v := &InvertView{s: s}
-	if !s.opt.Disabled {
-		v.key = make([]byte, 0, 64)
-	}
-	return v
-}
-
-// Get returns fn(a, b), memoized in the shared cache. The returned slices
-// are owned by the cache, shared across hits and goroutines, and must not
-// be mutated. fn runs outside the shard lock: concurrent cold misses on
-// one key may evaluate redundantly, but publish bit-identical values.
-func (v *InvertView) Get(a, b []float64, fn InvertFn) ([]float64, []float64, bool) {
-	if v.s.opt.Disabled {
-		return fn(a, b)
-	}
-	v.key = pairKey(v.key, a, b, v.s.opt.Quantum)
-	sh := v.s.shard(v.key)
-	sh.mu.Lock()
-	if e, ok := sh.inv[string(v.key)]; ok {
-		sh.mu.Unlock()
-		sh.invHits.Add(1)
-		v.stats.Hits++
-		return e.a, e.b, e.converged
-	}
-	sh.mu.Unlock()
-	sh.invMisses.Add(1)
-	v.stats.Misses++
-	ca, cb, conv := fn(a, b)
-	sh.mu.Lock()
-	if _, ok := sh.inv[string(v.key)]; !ok && len(sh.inv) >= v.s.maxPerShard {
-		sh.inv = make(map[string]invertEntry)
-		sh.invResets.Add(1)
-		v.stats.Resets++
-	}
-	sh.inv[string(v.key)] = invertEntry{a: ca, b: cb, converged: conv}
-	sh.mu.Unlock()
-	return ca, cb, conv
-}
-
-// Stats returns this view's local traffic counters (the whole cache's are
-// on Shared.Stats).
-func (v *InvertView) Stats() Stats { return v.stats }
-
-// Entries counts the resident inversion entries — a shared-cache-wide
-// figure, since entries are global by design.
-func (v *InvertView) Entries() int {
-	n, _ := v.s.Entries()
-	return n
-}
-
-// PairView is one request's handle onto the shared pair memo; the pair
-// analogue of InvertView, implementing the private PairCache surface.
-type PairView struct {
-	s     *Shared
-	key   []byte
-	stats Stats
-}
-
-// PairView derives a per-request pair-degradation handle.
-func (s *Shared) PairView() *PairView {
-	v := &PairView{s: s}
-	if !s.opt.Disabled {
-		v.key = make([]byte, 0, 64)
-	}
-	return v
-}
-
-// Get returns fn(a, b), memoized in the shared cache. fn runs outside the
-// shard lock (see InvertView.Get).
-func (v *PairView) Get(a, b []float64, fn PairFn) float64 {
-	if v.s.opt.Disabled {
-		return fn(a, b)
-	}
-	v.key = pairKey(v.key, a, b, v.s.opt.Quantum)
-	sh := v.s.shard(v.key)
-	sh.mu.Lock()
-	if x, ok := sh.pair[string(v.key)]; ok {
-		sh.mu.Unlock()
-		sh.pairHits.Add(1)
-		v.stats.Hits++
-		return x
-	}
-	sh.mu.Unlock()
-	sh.pairMisses.Add(1)
-	v.stats.Misses++
-	x := fn(a, b)
-	sh.mu.Lock()
-	if _, ok := sh.pair[string(v.key)]; !ok && len(sh.pair) >= v.s.maxPerShard {
-		sh.pair = make(map[string]float64)
-		sh.pairResets.Add(1)
-		v.stats.Resets++
-	}
-	sh.pair[string(v.key)] = x
-	sh.mu.Unlock()
-	return x
-}
-
-// Stats returns this view's local traffic counters.
-func (v *PairView) Stats() Stats { return v.stats }
-
-// Entries counts the resident pair entries — a shared-cache-wide figure,
-// since entries are global by design.
-func (v *PairView) Entries() int {
-	_, n := v.s.Entries()
-	return n
 }

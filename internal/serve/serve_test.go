@@ -339,6 +339,34 @@ func TestErrors(t *testing.T) {
 		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": 2, "num_apps": 5}`))
 		assertError(t, resp, raw, http.StatusBadRequest)
 	})
+	t.Run("too-many-cores", func(t *testing.T) {
+		q := fmt.Sprintf(`{"num_cores": %d, "num_apps": 2}`, serve.MaxCores+1)
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(q))
+		assertError(t, resp, raw, http.StatusBadRequest)
+	})
+	t.Run("negative-dispatch-width", func(t *testing.T) {
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": 2, "num_apps": 2, "dispatch_width": -4}`))
+		assertError(t, resp, raw, http.StatusBadRequest)
+	})
+	t.Run("too-many-cores-batch-line", func(t *testing.T) {
+		body := `{"num_cores": 2, "num_apps": 2}` + "\n" + `{"num_cores": 100000, "num_apps": 2}` + "\n"
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %s: %s", resp.Status, raw)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+		if len(lines) != 2 {
+			t.Fatalf("batch returned %d lines for 2 queries: %s", len(lines), raw)
+		}
+		var ok serve.PlaceResponse
+		if err := json.Unmarshal(lines[0], &ok); err != nil || len(ok.Placement) != 2 {
+			t.Fatalf("line 0: want a placement, got %s", lines[0])
+		}
+		var e serve.ErrorResponse
+		if err := json.Unmarshal(lines[1], &e); err != nil || !strings.Contains(e.Error, "num_cores") {
+			t.Fatalf("line 1: want a num_cores error, got %s", lines[1])
+		}
+	})
 	t.Run("oversized-place", func(t *testing.T) {
 		big := fmt.Sprintf(`{"num_cores": 4, "num_apps": 2, "app_ids": [%s1]}`, strings.Repeat("1,", 4<<10))
 		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(big))

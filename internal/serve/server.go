@@ -43,9 +43,6 @@ type Config struct {
 	// generation so all in-flight requests warm one memo (bit-identical
 	// by construction); false gives each pooled arena private caches.
 	SharedCache bool
-	// CacheShards is the shared cache's shard count (0 = predcache
-	// default); ignored without SharedCache.
-	CacheShards int
 	// MaxRequestBytes bounds one /v1/place, /v1/model body or one batch
 	// line (default 1 MiB).
 	MaxRequestBytes int64
@@ -102,7 +99,7 @@ func newServing(m *core.Model, gen int64, cfg Config) (*serving, error) {
 		return nil, err
 	}
 	if cfg.SharedCache {
-		p.SetSharedCache(predcache.NewShared(cfg.Policy.Cache, cfg.CacheShards))
+		p.SetSharedCache(predcache.NewShared(cfg.Policy.Cache, 0))
 	}
 	sv := &serving{policy: p, gen: gen}
 	sv.arenas.New = func() any { return p.NewArena() }

@@ -42,8 +42,8 @@ import (
 // the arrival-order cold placement, exactly like the first quantum of a
 // run).
 type PlaceRequest struct {
-	// NumCores is the machine size; NumApps the live-application count
-	// (at most NumCores × the SMT level).
+	// NumCores is the machine size (at most MaxCores); NumApps the
+	// live-application count (at most NumCores × the SMT level).
 	NumCores int `json:"num_cores"`
 	NumApps  int `json:"num_apps"`
 	// SMTLevel is the hardware threads per core (0 selects the SMT2
@@ -84,10 +84,19 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// MaxCores bounds a query's num_cores. A decision builds a
+// (2·num_cores)² pair-cost matrix whatever num_apps is, so an unbounded
+// count would let a tiny request demand gigabytes; 64 covers a
+// dual-socket ThunderX2 (2 × 32 cores).
+const MaxCores = 64
+
 // Validate checks the query's shape against the QuantumState contract.
 func (q *PlaceRequest) Validate() error {
-	if q.NumCores <= 0 {
-		return fmt.Errorf("num_cores must be positive (got %d)", q.NumCores)
+	if q.NumCores <= 0 || q.NumCores > MaxCores {
+		return fmt.Errorf("num_cores %d outside [1, %d]", q.NumCores, MaxCores)
+	}
+	if q.DispatchWidth < 0 {
+		return fmt.Errorf("dispatch_width must not be negative (got %d)", q.DispatchWidth)
 	}
 	level := q.SMTLevel
 	if level == 0 {

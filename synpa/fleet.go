@@ -88,9 +88,8 @@ type FleetClassReport = fleet.ClassReport
 // RunFleet executes an arrival stream across a cluster: each job is
 // dispatched to a machine as it arrives, queues under the System's
 // admission discipline, is placed by that machine's policy and departs on
-// completion. Results are bit-identical at every worker count (the
-// SYNPA_WORKERS override applies fleet-wide), and a single-machine fleet
-// reproduces RunDynamic exactly.
+// completion. Results are bit-identical at every worker count, and a
+// single-machine fleet reproduces RunDynamic exactly.
 func (s *System) RunFleet(cfg FleetConfig, stream TraceStream) (*FleetReport, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("synpa: nil trace stream")

@@ -114,8 +114,7 @@ type Config struct {
 	Seed uint64
 	// Workers bounds the worker goroutines that shard per-core stepping
 	// within each scheduling quantum (machine.Config.Workers). Zero
-	// selects GOMAXPROCS; one disables intra-run parallelism; the
-	// SYNPA_WORKERS environment variable overrides. Results are
+	// selects GOMAXPROCS; one disables intra-run parallelism. Results are
 	// bit-identical at every worker count.
 	Workers int
 	// Admission selects the open-system admission discipline that orders
