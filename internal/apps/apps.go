@@ -191,7 +191,7 @@ func (in *Instance) PhaseIndex() int { return in.phaseIdx }
 
 // InstsToPhaseBoundary returns how many more dispatched instructions fit in
 // the current phase before the next boundary (always >= 1). The core's
-// fast-forward engine uses it to bound event-free spans.
+// span tier uses it to detect a phase crossing inline.
 func (in *Instance) InstsToPhaseBoundary() uint64 {
 	return in.Model.Phases[in.phaseIdx].Insts - in.intoPhase
 }

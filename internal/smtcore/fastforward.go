@@ -14,10 +14,11 @@
 // positions and phase transitions for every cycle count. The regime
 // classifier is therefore conservative — whenever a cycle could dispatch,
 // retire under shared-width arbitration, or expire a timer whose side
-// effects touch shared structures, the engine falls back to step(). The
-// differential test in fastforward_test.go enforces the equivalence
-// bit-for-bit across the application catalogue. See DESIGN.md in this
-// package for the regime derivations.
+// effects touch shared structures, the bulk tier declines and the cycles
+// run through the inline-event span tier (spanlite.go). The differential
+// test in fastforward_test.go enforces the equivalence bit-for-bit across
+// the application catalogue. See DESIGN.md in this package for the regime
+// derivations.
 package smtcore
 
 import "synpa/internal/pmu"
@@ -160,7 +161,8 @@ func (c *Core) preClassify(t *thread) (kind int, horizon uint64) {
 
 // fastForward attempts one bulk advance of at most limit cycles. It returns
 // the number of cycles advanced, or 0 when the core is not in a uniformly
-// dormant regime and the caller must run the per-cycle reference step.
+// dormant regime and the caller must run the span tier. An idle core is
+// uniformly dormant and advances the whole limit.
 func (c *Core) fastForward(limit uint64) uint64 {
 	if limit == 0 {
 		return 0

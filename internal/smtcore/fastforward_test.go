@@ -63,6 +63,12 @@ func assertLockstep(t *testing.T, ref, fast *Core, slots []enginePair, quanta in
 		if ref.Cycle() != fast.Cycle() {
 			t.Fatalf("quantum %d: cycle mismatch ref=%d fast=%d", q, ref.Cycle(), fast.Cycle())
 		}
+		// Every fast-engine cycle runs in the span or the bulk tier; the
+		// reference step is never a fallback.
+		if es := fast.EngineStats(); es.StepCycles != 0 || es.SpanCycles+es.FFCycles != fast.Cycle() {
+			t.Fatalf("quantum %d: fast core tier split step=%d span=%d ff=%d, cycle=%d",
+				q, es.StepCycles, es.SpanCycles, es.FFCycles, fast.Cycle())
+		}
 		for s, p := range slots {
 			rb, fb := p.refBank.Read(), p.fastBank.Read()
 			if rb != fb {
@@ -186,10 +192,13 @@ func TestFastForwardIdleCore(t *testing.T) {
 
 // --- Benchmarks -------------------------------------------------------------
 
-// benchCoreRun times Core.Run on one app mix with the engine on or off.
-func benchCoreRun(b *testing.B, names []string, ff bool) {
+// benchCoreRun times Core.Run on one app mix at the given SMT level with the
+// engine on or off.
+func benchCoreRun(b *testing.B, level int, names []string, ff bool) {
 	b.Helper()
-	ref, fast, _, err := newDiffCores(names, 3)
+	cfg := DefaultConfig()
+	cfg.SMTLevel = level
+	ref, fast, _, err := newDiffCoresCfg(cfg, names, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -204,20 +213,27 @@ func benchCoreRun(b *testing.B, names []string, ff bool) {
 	b.ReportMetric(float64(c.Cycle())/float64(b.Elapsed().Nanoseconds()), "cycles/ns")
 }
 
-// BenchmarkCoreRun measures the three regimes the fast-forward engine
-// targets: stall-dominated (backend pair), steady dispatch (low-event pair)
-// and mixed (phase-flipping pair), each with the reference loop and the
-// fast-forward engine.
+// BenchmarkCoreRun measures the regimes the fast-forward engine targets,
+// each with the reference loop and the fast-forward engine. The SMT2 pairs
+// cover stall-dominated (backend pair), steady dispatch (low-event pair) and
+// mixed (phase-flipping pair) execution; the smt2-solo regimes run one app
+// on an SMT2 core with the other slot idle (the configuration isolated
+// training profiles run in). All SMT2 regimes exercise the unrolled span
+// layout; the smt1 and smt4 regimes exercise the slice-based one.
 func BenchmarkCoreRun(b *testing.B) {
 	regimes := []struct {
-		name string
-		mix  []string
+		name  string
+		level int
+		mix   []string
 	}{
-		{"stalled", []string{"lbm_r", "milc"}},
-		{"steady", []string{"exchange2_r", "nab_r"}},
-		{"mixed", []string{"leela_r", "mcf"}},
-		{"st-backend", []string{"mcf"}},
-		{"st-frontend", []string{"gobmk"}},
+		{"stalled", 2, []string{"lbm_r", "milc"}},
+		{"steady", 2, []string{"exchange2_r", "nab_r"}},
+		{"mixed", 2, []string{"leela_r", "mcf"}},
+		{"smt2-solo-backend", 2, []string{"mcf"}},
+		{"smt2-solo-frontend", 2, []string{"gobmk"}},
+		{"smt1-backend", 1, []string{"mcf"}},
+		{"smt1-frontend", 1, []string{"gobmk"}},
+		{"smt4-mixed", 4, []string{"lbm_r", "gobmk", "mcf", "exchange2_r"}},
 	}
 	for _, r := range regimes {
 		for _, ff := range []bool{false, true} {
@@ -226,7 +242,7 @@ func BenchmarkCoreRun(b *testing.B) {
 				label = "ff"
 			}
 			b.Run(r.name+"/"+label, func(b *testing.B) {
-				benchCoreRun(b, r.mix, ff)
+				benchCoreRun(b, r.level, r.mix, ff)
 			})
 		}
 	}

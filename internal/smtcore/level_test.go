@@ -75,27 +75,34 @@ func TestPartitionCapLevels(t *testing.T) {
 }
 
 // TestFastForwardDifferentialLevels proves observational equivalence of the
-// fast-forward engine (bulk tier + generic span tier) against the per-cycle
-// reference at SMT levels 1, 3 and 4, including partial occupancy.
+// fast-forward engine (bulk tier + slice-based span tier) against the
+// per-cycle reference at SMT levels 1, 3 and 4, including partial occupancy.
 func TestFastForwardDifferentialLevels(t *testing.T) {
 	cases := []struct {
-		level int
-		mix   []string
+		level  int
+		mix    []string
+		quanta int // 5,000-cycle quanta to run
 	}{
-		{1, []string{"mcf"}},
-		{1, []string{"exchange2_r"}},
+		{1, []string{"mcf"}, 20},
+		{1, []string{"exchange2_r"}, 20},
 		// SMT3: three residents, and a hole in the middle slot.
-		{3, []string{"lbm_r", "milc", "mcf"}},
-		{3, []string{"gobmk", "perlbench", "leela_r"}},
-		{3, []string{"mcf", "", "exchange2_r"}},
+		{3, []string{"lbm_r", "milc", "mcf"}, 20},
+		{3, []string{"gobmk", "perlbench", "leela_r"}, 20},
+		{3, []string{"mcf", "", "exchange2_r"}, 20},
 		// SMT4: full house across the behaviour groups, plus partial
 		// occupancy (two and three residents on a 4-way core).
-		{4, []string{"lbm_r", "milc", "mcf", "cactuBSSN_r"}},
-		{4, []string{"gobmk", "perlbench", "leela_r", "exchange2_r"}},
-		{4, []string{"mcf", "gobmk", "lbm_r", "nab_r"}},
-		{4, []string{"leela_r", "mcf_r", "astar", "povray_r"}},
-		{4, []string{"mcf", "gobmk", "", ""}},
-		{4, []string{"", "lbm_r", "", "exchange2_r"}},
+		{4, []string{"lbm_r", "milc", "mcf", "cactuBSSN_r"}, 20},
+		{4, []string{"gobmk", "perlbench", "leela_r", "exchange2_r"}, 20},
+		{4, []string{"mcf", "gobmk", "lbm_r", "nab_r"}, 20},
+		{4, []string{"leela_r", "mcf_r", "astar", "povray_r"}, 20},
+		{4, []string{"mcf", "gobmk", "", ""}, 20},
+		{4, []string{"", "lbm_r", "", "exchange2_r"}, 20},
+		// Backend pair next to dispatch-steady co-runners that keep
+		// retiring while a frozen thread waits on its miss.
+		{4, []string{"lbm_r", "milc", "exchange2_r", "nab_r"}, 20},
+		// Phase-flipping apps, run long enough (4M cycles) for every
+		// resident to cross a phase boundary inline.
+		{3, []string{"astar", "leela_r", "mcf_r"}, 800},
 	}
 	seeds := []uint64{1, 42, 0xDEADBEEF}
 	for _, c := range cases {
@@ -108,7 +115,7 @@ func TestFastForwardDifferentialLevels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertLockstep(t, ref, fast, slots, 20, 5_000)
+				assertLockstep(t, ref, fast, slots, c.quanta, 5_000)
 			})
 		}
 	}

@@ -225,12 +225,14 @@ type Core struct {
 }
 
 // EngineStats splits a core's simulated cycles across the execution tiers:
-// exact reference steps, the scalarised span engine, and bulk fast-forward
-// skips. The three sum to the cycles the core has run.
+// exact reference steps, the span engine, and bulk fast-forward skips. The
+// three sum to the cycles the core has run; with the fast-forward engine
+// enabled every cycle is a span or a fast-forward cycle.
 type EngineStats struct {
-	// StepCycles were simulated by the per-cycle reference step.
+	// StepCycles were simulated by the per-cycle reference step (the
+	// engine disabled).
 	StepCycles uint64
-	// SpanCycles were simulated by the tier-2 lean span engine.
+	// SpanCycles were simulated by the tier-2 inline-event span engine.
 	SpanCycles uint64
 	// FFCycles were bulk-skipped by the tier-1 dormancy fast-forward.
 	FFCycles uint64
@@ -521,8 +523,9 @@ func (t *thread) fireEvent() {
 
 // Run advances the core by the given number of cycles. With the
 // fast-forward engine enabled it alternates bulk advances over statically
-// predictable regimes with exact per-cycle steps (fastforward.go); otherwise
-// it is the per-cycle reference loop.
+// predictable dormant regimes (fastforward.go) with inline-event spans
+// (spanlite.go); every cycle runs in one of those two tiers. Otherwise it is
+// the per-cycle reference loop.
 func (c *Core) Run(cycles uint64) {
 	if !c.ff {
 		for n := uint64(0); n < cycles; n++ {
@@ -539,33 +542,12 @@ func (c *Core) Run(cycles uint64) {
 			c.engine.FFCycles += skipped
 			continue
 		}
-		// Tier 2: execute an event-free span through the scalarised lean
-		// engine.
-		if ran := c.runSpanLite(remaining); ran > 0 {
-			remaining -= ran
-			c.engine.SpanCycles += ran
-			continue
-		}
-		// Event boundary (stall event, miss expiry, phase crossing) or a
-		// span too short to amortise: run a short burst of reference
-		// steps before re-screening. The burst only delays re-entering a
-		// fast tier — equivalence is untouched because every burst cycle
-		// runs the reference step.
-		burst := uint64(ffBurst)
-		if burst > remaining {
-			burst = remaining
-		}
-		remaining -= burst
-		c.engine.StepCycles += burst
-		for ; burst > 0; burst-- {
-			c.step()
-		}
+		// Tier 2: an inline-event span, at least one cycle long.
+		ran := c.runSpanLite(remaining)
+		remaining -= ran
+		c.engine.SpanCycles += ran
 	}
 }
-
-// ffBurst is the number of reference steps run between fast-forward
-// attempts after both fast tiers decline.
-const ffBurst = 1
 
 // step simulates one cycle.
 func (c *Core) step() {

@@ -1,12 +1,9 @@
-// Steady/active span — the lean scalarised tier of the fast-forward engine.
+// Steady/active span — the inline-event span tier of the fast-forward engine.
 //
-// This tier executes long runs of cycles entirely on scalar locals,
-// transcribing step()'s per-cycle arithmetic operation for operation with
-// the dispatch-priority alternation unrolled into the two cycle parities so
-// that no dynamically indexed state remains and the whole cycle body
-// register-allocates. Unlike the original event-free-span design (which the
-// generic tier in spanliten.go still uses), this tier handles the regime
-// changes *inline* instead of ending the span at every one of them:
+// This tier executes long runs of cycles entirely on span locals,
+// transcribing step()'s per-cycle arithmetic operation for operation, and
+// handles the regime changes *inline* instead of ending the span at every
+// one of them:
 //
 //   - a consumed event window fires its stall event on the spot: the thread
 //     state is synced back, the shared fireEvent runs (same RNG stream,
@@ -22,42 +19,42 @@
 //     the blocked-ness invariant until the expiry (the thread's own state
 //     cannot change while it neither dispatches, retires nor fires events).
 //
-// A span therefore ends only at the cycle limit or when every active
-// thread has gone dormant (the bulk tier in fastforward.go then skips the
-// dormant window in O(1)). PMU counters accumulate in scalars and flush
-// once per span. The per-span screening and flush overhead that dominated
-// the short event-free spans is amortised over thousands of cycles.
+// A span therefore ends only at the cycle limit, when every active thread
+// has gone dormant (the bulk tier in fastforward.go then skips the dormant
+// window in O(1)), or after a short streak of contention-stalled cycles.
+// PMU counters accumulate in per-thread liteCounters and flush once per
+// span.
 //
-// The parity bodies are deliberate near-duplicates of each other and of
-// step(): the duplication is what buys the register allocation. The file is
-// generated-style mechanical code; the differential test in
-// fastforward_test.go pins every operation to the reference loop.
+// The algorithm has two layouts. At SMT2 (runSpanLite2 below) every
+// per-thread quantity is a scalar local and the two dispatch-priority
+// parities are unrolled, so that no dynamically indexed state remains and
+// the cycle body register-allocates; the parity bodies are deliberate
+// near-duplicates of each other and of step(). Every other level runs the
+// slice-based form in spanliten.go. The differential tests in
+// fastforward_test.go pin both layouts to the reference loop.
 package smtcore
 
 import "synpa/internal/pmu"
 
-// minSpan is the shortest span worth the setup/flush overhead of the
-// event-free generic tier (spanliten.go); anything shorter runs through
-// step(). The SMT2 tier has no such bound — its spans end only at regime
-// dormancy or the cycle limit.
-const minSpan = 4
+// maxStallStreak is the number of consecutive contention-stalled cycles
+// (no dispatch, some thread not dormant) after which a span ends so the
+// bulk tier can re-screen.
+const maxStallStreak = 8
 
 // liteCounters accumulates one thread's per-cycle PMU signatures over a
-// span. The SMT2 tier splits frontend stalls by cause (feICnt/feBCnt)
-// because a span can now cover stalls of both kinds; the generic tier keeps
-// the single feCnt with its span-constant kind.
+// span. Frontend stalls are split by cause, since one span can cover stalls
+// of both kinds.
 type liteCounters struct {
 	spec, ret                        uint64
-	feCnt                            uint64
 	feICnt, feBCnt                   uint64
 	slotsCnt, robCnt, ldqCnt, stqCnt uint64
 	iqCnt, otherCnt, memLatCnt       uint64
 }
 
-// runSpanLite executes up to limit cycles through the lean scalarised
-// engine, returning the number executed (0 when the tier does not apply).
-// The SMT2 configuration runs the inline-event tier below; other levels run
-// the generic event-free-span variant in spanliten.go.
+// runSpanLite executes up to limit cycles through the span tier, returning
+// the number executed: at least one whenever limit > 0. SMT2 cores run the
+// unrolled layout, which is measurably faster there (DESIGN.md, Tier 2);
+// every other level runs the slice-based one.
 func (c *Core) runSpanLite(limit uint64) uint64 {
 	if len(c.threads) == 2 {
 		return c.runSpanLite2(limit)
@@ -67,14 +64,10 @@ func (c *Core) runSpanLite(limit uint64) uint64 {
 
 // runSpanLite2 is the SMT2 tier: every per-thread quantity lives in a
 // scalar local, the two dispatch-priority parities are unrolled, and stall
-// events, miss expiries and phase crossings are handled inline so that the
-// span only ends at the limit or at full dormancy.
+// events, miss expiries and phase crossings are handled inline.
 func (c *Core) runSpanLite2(limit uint64) uint64 {
 	t0, t1 := &c.threads[0], &c.threads[1]
 	active0, active1 := t0.inst != nil, t1.inst != nil
-	if (!active0 && !active1) || limit == 0 {
-		return 0
-	}
 	n := limit
 
 	// --- hoist state into scalar locals ------------------------------------
@@ -840,7 +833,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 			// ends the span so the bulk tier can re-screen.
 			if (!active0 || frozen0 || fe0 > 0) && (!active1 || frozen1 || fe1 > 0) {
 				stop = true
-			} else if stallStreak++; stallStreak >= 8 {
+			} else if stallStreak++; stallStreak >= maxStallStreak {
 				stop = true
 			}
 		}
@@ -853,13 +846,13 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 		t0.robHeld, t0.window, t0.feLeft, t0.missLeft = rob0, win0, fe0, miss0
 		t0.iqHeld, t0.ldqHeld, t0.stqHeld = iqH0, ldq0, stq0
 		t0.ilpAcc = acc0
-		flushLite2(t0, i, &cnt0, specPend0)
+		flushLite(t0, i, &cnt0, specPend0)
 	}
 	if active1 {
 		t1.robHeld, t1.window, t1.feLeft, t1.missLeft = rob1, win1, fe1, miss1
 		t1.iqHeld, t1.ldqHeld, t1.stqHeld = iqH1, ldq1, stq1
 		t1.ilpAcc = acc1
-		flushLite2(t1, i, &cnt1, specPend1)
+		flushLite(t1, i, &cnt1, specPend1)
 	}
 	return i
 }
@@ -883,40 +876,10 @@ func (cnt *liteCounters) countStall(cause int) {
 	}
 }
 
-// flushLite writes one thread's accumulated counters to its bank and
-// instance — the event-free generic tier's flush, whose frontend stalls all
-// share the span-constant kind in t.feKind.
-func flushLite(t *thread, n uint64, cnt *liteCounters) {
-	b := t.bank
-	b.Add(pmu.CPUCycles, n)
-	if cnt.spec > 0 {
-		b.Add(pmu.InstSpec, cnt.spec)
-	}
-	if cnt.ret > 0 {
-		b.Add(pmu.InstRetired, cnt.ret)
-		t.inst.Retired += cnt.ret
-	}
-	if cnt.feCnt > 0 {
-		b.Add(pmu.StallFrontend, cnt.feCnt)
-		if t.feKind == evICache {
-			b.Add(pmu.StallFEICache, cnt.feCnt)
-		} else {
-			b.Add(pmu.StallFEBranch, cnt.feCnt)
-		}
-	}
-	flushBackend(t, cnt)
-	if cnt.spec > 0 {
-		// INST_SPEC counts exactly the dispatched µops, so it doubles as
-		// the phase-advancement total.
-		t.inst.AdvanceDispatched(cnt.spec)
-	}
-}
-
-// flushLite2 is the SMT2 inline-event tier's flush: frontend stalls are
-// split by cause counter (a span can cover stalls of both kinds), and only
-// the still-pending dispatched count — the tail since the last inline phase
-// sync — feeds AdvanceDispatched.
-func flushLite2(t *thread, n uint64, cnt *liteCounters, pending uint64) {
+// flushLite writes one thread's counters accumulated over an n-cycle span
+// to its bank and instance. Only the still-pending dispatched count — the
+// tail since the last inline phase sync — feeds AdvanceDispatched.
+func flushLite(t *thread, n uint64, cnt *liteCounters, pending uint64) {
 	b := t.bank
 	b.Add(pmu.CPUCycles, n)
 	if cnt.spec > 0 {
@@ -935,38 +898,29 @@ func flushLite2(t *thread, n uint64, cnt *liteCounters, pending uint64) {
 			b.Add(pmu.StallFEBranch, cnt.feBCnt)
 		}
 	}
-	flushBackend(t, cnt)
+	if be := cnt.slotsCnt + cnt.robCnt + cnt.ldqCnt + cnt.stqCnt +
+		cnt.iqCnt + cnt.otherCnt + cnt.memLatCnt; be > 0 {
+		b.Add(pmu.StallBackend, be)
+		if cnt.memLatCnt > 0 {
+			b.Add(pmu.StallBEMemLat, cnt.memLatCnt)
+		}
+		if cnt.slotsCnt > 0 {
+			b.Add(pmu.StallBESlots, cnt.slotsCnt)
+		}
+		if cnt.robCnt > 0 {
+			b.Add(pmu.StallBEROB, cnt.robCnt)
+		}
+		if cnt.iqCnt > 0 {
+			b.Add(pmu.StallBEIQ, cnt.iqCnt)
+		}
+		if cnt.ldqCnt > 0 {
+			b.Add(pmu.StallBELDQ, cnt.ldqCnt)
+		}
+		if cnt.stqCnt > 0 {
+			b.Add(pmu.StallBESTQ, cnt.stqCnt)
+		}
+	}
 	if pending > 0 {
 		t.inst.AdvanceDispatched(pending)
-	}
-}
-
-// flushBackend writes the accumulated backend-stall counters shared by both
-// flush variants.
-func flushBackend(t *thread, cnt *liteCounters) {
-	b := t.bank
-	be := cnt.slotsCnt + cnt.robCnt + cnt.ldqCnt + cnt.stqCnt +
-		cnt.iqCnt + cnt.otherCnt + cnt.memLatCnt
-	if be == 0 {
-		return
-	}
-	b.Add(pmu.StallBackend, be)
-	if cnt.memLatCnt > 0 {
-		b.Add(pmu.StallBEMemLat, cnt.memLatCnt)
-	}
-	if cnt.slotsCnt > 0 {
-		b.Add(pmu.StallBESlots, cnt.slotsCnt)
-	}
-	if cnt.robCnt > 0 {
-		b.Add(pmu.StallBEROB, cnt.robCnt)
-	}
-	if cnt.iqCnt > 0 {
-		b.Add(pmu.StallBEIQ, cnt.iqCnt)
-	}
-	if cnt.ldqCnt > 0 {
-		b.Add(pmu.StallBELDQ, cnt.ldqCnt)
-	}
-	if cnt.stqCnt > 0 {
-		b.Add(pmu.StallBESTQ, cnt.stqCnt)
 	}
 }

@@ -1,121 +1,70 @@
-// Generic event-free span tier for SMT levels other than 2.
+// Generic inline-event span tier for SMT levels other than 2.
 //
-// This is the slice-based counterpart of the scalarised SMT2 tier in
-// spanlite.go: it executes runs of cycles in which no stall event can fire,
-// no outstanding miss can expire, no frontend stall can end and no phase
-// boundary can be crossed, transcribing step()'s per-cycle arithmetic
+// This is the slice-based form of the unrolled SMT2 tier in spanlite.go and
+// runs the same algorithm: step()'s per-cycle arithmetic transcribed
 // operation for operation (same expressions, same float evaluation order,
-// threads visited in the same rotating-priority order) while skipping the
-// RNG and rate-refresh paths that the span preconditions prove unreachable.
-// PMU counters accumulate in per-thread liteCounters and flush once per
-// span, exactly as in the SMT2 tier.
+// threads visited in the same rotating-priority order), with stall events
+// fired inline through the shared fireEvent, outstanding misses counted
+// down per cycle, phase crossings refreshing the contention rates at the
+// end of the crossing cycle, and miss-blocked threads frozen once
+// dispatchBlockedOwn proves the blocked-ness invariant. Per-thread state
+// lives in a fixed array of liteState instead of unrolled scalars; the
+// per-thread rate parameters are read from the thread itself, which
+// refreshRates updates in place.
 //
-// The differential tests in fastforward_test.go pin this tier to the
-// reference loop bit-for-bit at SMT levels 1, 3 and 4.
+// The differential tests in fastforward_test.go and level_test.go pin this
+// tier to the reference loop bit-for-bit at SMT levels 1, 3 and 4.
 package smtcore
 
 // liteState is one thread's span-local microstate.
 type liteState struct {
-	t       *thread
-	active  bool // an application is bound to the slot
-	frozen  bool // miss-blocked for the whole span (fixed zero-dispatch signature)
-	hasMiss bool // an own miss is outstanding throughout the span
+	t      *thread
+	active bool // an application is bound to the slot
+	frozen bool // miss-blocked, with the blocked-ness proven invariant until the expiry
 
-	rob, win, fe int
-	iq, ldq, stq float64
-	acc          float64
-	supMax       int
-	pb           uint64 // dispatched instructions left before a phase boundary
-	cnt          liteCounters
+	rob, win, fe, miss int
+	iq, ldq, stq       float64
+	acc                float64
+	pb                 int64  // dispatched instructions left before a phase boundary
+	pending            uint64 // dispatched instructions not yet fed to AdvanceDispatched
+	cnt                liteCounters
 }
 
-// runSpanLiteN executes up to limit event-free cycles on a core of any SMT
-// level, returning the number executed (0 when no worthwhile span exists).
+// load copies the thread's microstate into the span locals.
+func (st *liteState) load() {
+	t := st.t
+	st.rob, st.win, st.fe, st.miss = t.robHeld, t.window, t.feLeft, t.missLeft
+	st.iq, st.ldq, st.stq = t.iqHeld, t.ldqHeld, t.stqHeld
+}
+
+// sync writes the span locals back to the thread (the ILP accumulator is
+// written at the flush only; nothing read mid-span depends on it).
+func (st *liteState) sync() {
+	t := st.t
+	t.robHeld, t.window, t.feLeft, t.missLeft = st.rob, st.win, st.fe, st.miss
+	t.iqHeld, t.ldqHeld, t.stqHeld = st.iq, st.ldq, st.stq
+}
+
+// runSpanLiteN executes up to limit cycles on a core of any SMT level,
+// returning the number executed. It runs at least one cycle whenever
+// limit > 0, and ends early only when every active thread has gone dormant
+// or dispatch has stalled for a short streak.
 func (c *Core) runSpanLiteN(limit uint64) uint64 {
 	level := len(c.threads)
 	var sts [MaxSMTLevel]liteState
-	n := limit
-	anyActive, liveAny := false, false
 	for s := 0; s < level; s++ {
-		t := &c.threads[s]
 		st := &sts[s]
-		st.t = t
-		if t.inst == nil {
+		st.t = &c.threads[s]
+		if st.t.inst == nil {
 			continue
 		}
 		st.active = true
-		anyActive = true
-		if t.missLeft > 0 {
-			// The expiry cycle drains iqHeld; stop one cycle short of it
-			// so "a miss is outstanding" is a span-constant fact.
-			if t.missLeft < 2 {
-				return 0
-			}
-			if m := uint64(t.missLeft - 1); m < n {
-				n = m
-			}
-			st.hasMiss = true
-		}
-		if t.feLeft > 0 {
-			// Frontend-starved: cannot dispatch; the span ends with the
-			// stall so resumption runs in step().
-			if m := uint64(t.feLeft); m < n {
-				n = m
-			}
-			continue
-		}
-		if t.missLeft > 0 {
-			// A blocked thread freezes when the blocked-ness is stable for
-			// the whole span. Shared frees only shrink while co-runners
-			// dispatch, so the current clamp outcome suffices unless some
-			// co-runner can retire (missLeft == 0): retirement grows the
-			// shared frees, and blocked-ness must then hold at maximum
-			// free, from the thread's own partition caps alone.
-			coRetires := false
-			for o := 0; o < level; o++ {
-				if o != s && c.threads[o].inst != nil && c.threads[o].missLeft == 0 {
-					coRetires = true
-					break
-				}
-			}
-			var blocked bool
-			if coRetires {
-				blocked = c.dispatchBlockedOwn(t)
-			} else {
-				blocked = c.dispatchBlocked(t)
-			}
-			if blocked {
-				st.frozen = true
-				continue
-			}
-		}
-		liveAny = true
-		supplyMax := t.ilpBase
-		if t.ilpFrac > 0 {
-			supplyMax++
-		}
-		if supplyMax < 1 {
-			return 0
-		}
-		// The first cycle must be event-free; later cycles are guarded
-		// dynamically inside the loop.
-		if t.window <= supplyMax {
-			return 0
-		}
-		toBoundary := t.inst.InstsToPhaseBoundary()
-		if toBoundary-1 < uint64(supplyMax) {
-			return 0
-		}
-		st.supMax = supplyMax
-		st.pb = toBoundary - 1
-	}
-	if !anyActive || !liveAny || n < minSpan {
-		// With no live dispatcher every thread is dormant — the bulk tier
-		// advances that regime in O(1) per window instead of O(n).
-		return 0
+		st.load()
+		st.acc = st.t.ilpAcc
+		st.pb = int64(st.t.inst.InstsToPhaseBoundary())
 	}
 
-	// --- hoist state into span locals ----------------------------------
+	// --- hoist the core parameters -------------------------------------
 	dispW, retireW := c.cfg.DispatchWidth, c.cfg.RetireWidth
 	robSize := c.cfg.ROBSize
 	robCap := c.robCap
@@ -125,23 +74,14 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 	iqCap := c.iqCap
 	ldqCap, stqCap := c.ldqCap, c.stqCap
 	ldqDead, stqDead := c.ldqDead, c.stqDead
-	for s := 0; s < level; s++ {
-		st := &sts[s]
-		if !st.active {
-			continue
-		}
-		t := st.t
-		st.rob, st.win, st.fe = t.robHeld, t.window, t.feLeft
-		st.iq, st.ldq, st.stq = t.iqHeld, t.ldqHeld, t.stqHeld
-		st.acc = t.ilpAcc
-	}
 
 	i := uint64(0)
 	stop := false
+	crossed := false
 	stallStreak := 0
 	prio := c.prio
 
-	for i < n && !stop {
+	for i < limit && !stop {
 		i++
 		first := prio
 		if prio++; prio == level {
@@ -150,9 +90,12 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 
 		// --- retire stage (mirrors step) -------------------------------
 		retireLeft := retireW
-		for o := 0; o < level && retireLeft > 0; o++ {
-			st := &sts[(first+o)%level]
-			if !st.active || st.hasMiss || st.rob == 0 {
+		for o, s := 0, first; o < level && retireLeft > 0; o++ {
+			st := &sts[s]
+			if s++; s == level {
+				s = 0
+			}
+			if !st.active || st.miss > 0 || st.rob == 0 {
 				continue
 			}
 			k := st.rob
@@ -180,23 +123,37 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			st.cnt.ret += uint64(k)
 		}
 
+		// --- miss timers (index order, mirrors step) --------------------
+		for s := 0; s < level; s++ {
+			st := &sts[s]
+			if st.active && st.miss > 0 {
+				if st.miss--; st.miss == 0 {
+					st.iq = 0
+					st.frozen = false
+				}
+			}
+		}
+
 		// --- dispatch stage (mirrors step) ------------------------------
 		slots := dispW
 		robUsed := 0
-		for o := 0; o < level; o++ {
-			robUsed += sts[o].rob
+		for s := 0; s < level; s++ {
+			robUsed += sts[s].rob
 		}
 		dispatched := false
-		for o := 0; o < level; o++ {
-			st := &sts[(first+o)%level]
+		for o, s := 0, first; o < level; o++ {
+			st := &sts[s]
+			if s++; s == level {
+				s = 0
+			}
 			if !st.active {
 				continue
 			}
 			t := st.t
 			if st.frozen {
-				// Blocked on its miss for the whole span: the supply
-				// dither still advances before the cascade discards it,
-				// exactly as in step().
+				// Miss-blocked with the blocked-ness proven invariant: the
+				// supply dither still advances before the cascade discards
+				// it, exactly as in step().
 				st.acc += t.ilpFrac
 				if st.acc >= 1 {
 					st.acc--
@@ -206,7 +163,11 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			}
 			if st.fe > 0 {
 				st.fe--
-				st.cnt.feCnt++
+				if t.feKind == evICache {
+					st.cnt.feICnt++
+				} else {
+					st.cnt.feBCnt++
+				}
 				continue
 			}
 			supply := t.ilpBase
@@ -250,7 +211,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			if iqFree < 1 {
 				k = 0
 				cause = 5
-			} else if st.hasMiss && t.depFrac > 0 {
+			} else if st.miss > 0 && t.depFrac > 0 {
 				if lim := int(iqFree * t.invDepFrac); lim < k {
 					k = lim
 					if lim <= 0 {
@@ -292,8 +253,15 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 				}
 			}
 			if k <= 0 {
-				if st.hasMiss {
+				if st.miss > 0 {
 					st.cnt.memLatCnt++
+					// Zero-dispatch under an own miss: if the thread's own
+					// partition caps alone block it, the outcome is
+					// invariant until the expiry, so the cascade freezes.
+					st.sync()
+					if c.dispatchBlockedOwn(t) {
+						st.frozen = true
+					}
 				} else {
 					st.cnt.countStall(cause)
 				}
@@ -303,7 +271,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			slots -= k
 			robUsed += k
 			st.rob += k
-			if st.hasMiss {
+			if st.miss > 0 {
 				st.iq += t.depFrac * float64(k)
 			}
 			if !ldqDead {
@@ -313,27 +281,61 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 				st.stq += t.storeRatio * float64(k)
 			}
 			st.cnt.spec += uint64(k)
+			st.pending += uint64(k)
 			st.win -= k
-			st.pb -= uint64(k)
-			if st.win <= st.supMax || st.pb < uint64(st.supMax) {
-				stop = true
+			if st.pb -= int64(k); st.pb <= 0 {
+				crossed = true
+			}
+			if st.win == 0 {
+				// Window exhausted: fire the stall event exactly where
+				// step() does, on synced thread state (same RNG stream).
+				st.sync()
+				t.fireEvent()
+				st.load()
+			}
+		}
+
+		// --- end of cycle -----------------------------------------------
+		if crossed {
+			// A phase boundary was crossed this cycle: feed the deferred
+			// dispatched counts (AdvanceDispatched is chunk-associative) and
+			// refresh the contention rates where step() does.
+			crossed = false
+			for s := 0; s < level; s++ {
+				if st := &sts[s]; st.pending > 0 {
+					st.t.inst.AdvanceDispatched(st.pending)
+					st.pending = 0
+				}
+			}
+			c.refreshRates()
+			for s := 0; s < level; s++ {
+				if st := &sts[s]; st.active {
+					st.pb = int64(st.t.inst.InstsToPhaseBoundary())
+				}
 			}
 		}
 		if dispatched {
 			stallStreak = 0
 		} else {
-			// Dispatch has gone quiescent: a live thread has blocked
-			// mid-span. Hand the window back so the bulk tier can skip it
-			// in O(1) instead of this loop grinding it out.
-			stallStreak++
-			if stallStreak >= 8 {
+			// No dispatch this cycle: hand a fully dormant core to the bulk
+			// tier, and end the span after a short stall streak so the bulk
+			// tier can re-screen.
+			dormant := true
+			for s := 0; s < level; s++ {
+				if st := &sts[s]; st.active && !st.frozen && st.fe == 0 {
+					dormant = false
+					break
+				}
+			}
+			if dormant {
+				stop = true
+			} else if stallStreak++; stallStreak >= maxStallStreak {
 				stop = true
 			}
 		}
 	}
 
-	// --- flush (i, not n: the dynamic window/phase guards may have ended
-	// the span early) ---------------------------------------------------
+	// --- flush ------------------------------------------------------------
 	c.cycle += i
 	c.prio = prio
 	for s := 0; s < level; s++ {
@@ -341,14 +343,9 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 		if !st.active {
 			continue
 		}
-		t := st.t
-		t.robHeld, t.window, t.feLeft = st.rob, st.win, st.fe
-		t.iqHeld, t.ldqHeld, t.stqHeld = st.iq, st.ldq, st.stq
-		t.ilpAcc = st.acc
-		if st.hasMiss {
-			t.missLeft -= int(i)
-		}
-		flushLite(t, i, &st.cnt)
+		st.sync()
+		st.t.ilpAcc = st.acc
+		flushLite(st.t, i, &st.cnt, st.pending)
 	}
 	return i
 }
