@@ -14,7 +14,7 @@
 //	POST /v1/place        one JSON placement query -> placement + predicted
 //	                      per-app degradations
 //	POST /v1/place/batch  JSONL stream of queries -> JSONL stream of
-//	                      answers, 1:1 and in order
+//	                      answers, one per non-empty line, in order
 //	POST /v1/model        hot-swap the serving model atomically; in-flight
 //	                      requests finish on the old one, none are dropped
 //	GET  /v1/stats        serving generation, cache traffic, metrics

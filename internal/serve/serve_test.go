@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"synpa/internal/core"
-	"synpa/internal/machine"
 	"synpa/internal/obs"
 	"synpa/internal/pmu"
 	"synpa/internal/predcache"
@@ -327,27 +326,29 @@ func TestErrors(t *testing.T) {
 		}
 	}
 
-	t.Run("malformed-json", func(t *testing.T) {
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": `))
-		assertError(t, resp, raw, http.StatusBadRequest)
-	})
-	t.Run("unknown-field", func(t *testing.T) {
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": 4, "num_apps": 2, "bogus": 1}`))
-		assertError(t, resp, raw, http.StatusBadRequest)
-	})
-	t.Run("infeasible-query", func(t *testing.T) {
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": 2, "num_apps": 5}`))
-		assertError(t, resp, raw, http.StatusBadRequest)
-	})
-	t.Run("too-many-cores", func(t *testing.T) {
-		q := fmt.Sprintf(`{"num_cores": %d, "num_apps": 2}`, serve.MaxCores+1)
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(q))
-		assertError(t, resp, raw, http.StatusBadRequest)
-	})
-	t.Run("negative-dispatch-width", func(t *testing.T) {
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(`{"num_cores": 2, "num_apps": 2, "dispatch_width": -4}`))
-		assertError(t, resp, raw, http.StatusBadRequest)
-	})
+	// Single queries that must fail: malformed, unknown or misspelled keys
+	// (keys match the field names exactly), data after the object,
+	// infeasible shapes, and bodies over MaxRequestBytes, however they are
+	// padded.
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"malformed-json", `{"num_cores": `, http.StatusBadRequest},
+		{"unknown-field", `{"num_cores": 4, "num_apps": 2, "bogus": 1}`, http.StatusBadRequest},
+		{"case-variant-key", `{"Num_Cores": 4, "num_apps": 2}`, http.StatusBadRequest},
+		{"trailing-data", `{"num_cores": 4, "num_apps": 2} {"num_cores": 2}`, http.StatusBadRequest},
+		{"infeasible-query", `{"num_cores": 2, "num_apps": 5}`, http.StatusBadRequest},
+		{"too-many-cores", fmt.Sprintf(`{"num_cores": %d, "num_apps": 2}`, serve.MaxCores+1), http.StatusBadRequest},
+		{"negative-dispatch-width", `{"num_cores": 2, "num_apps": 2, "dispatch_width": -4}`, http.StatusBadRequest},
+		{"oversized-place", fmt.Sprintf(`{"num_cores": 4, "num_apps": 2, "app_ids": [%s1]}`, strings.Repeat("1,", 4<<10)), http.StatusRequestEntityTooLarge},
+		{"oversized-padding", `{"num_cores": 4, "num_apps": 2}` + strings.Repeat(" ", 4<<10), http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(tc.body))
+			assertError(t, resp, raw, tc.status)
+		})
+	}
 	t.Run("too-many-cores-batch-line", func(t *testing.T) {
 		body := `{"num_cores": 2, "num_apps": 2}` + "\n" + `{"num_cores": 100000, "num_apps": 2}` + "\n"
 		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(body))
@@ -367,10 +368,31 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("line 1: want a num_cores error, got %s", lines[1])
 		}
 	})
-	t.Run("oversized-place", func(t *testing.T) {
-		big := fmt.Sprintf(`{"num_cores": 4, "num_apps": 2, "app_ids": [%s1]}`, strings.Repeat("1,", 4<<10))
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(big))
-		assertError(t, resp, raw, http.StatusRequestEntityTooLarge)
+	t.Run("stricter-batch-lines", func(t *testing.T) {
+		// Batch lines follow the single-query rules; an empty line carries
+		// no query and gets no answer.
+		body := `{"num_cores": 2, "num_apps": 2}` + "\n\n" +
+			`{"num_cores": 2, "num_apps": 2, "bogus": 1}` + "\n" +
+			`{"Num_Cores": 2, "num_apps": 2}` + "\n" +
+			`{"num_cores": 2, "num_apps": 2} x` + "\n"
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %s: %s", resp.Status, raw)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+		if len(lines) != 4 {
+			t.Fatalf("batch returned %d lines for 4 queries: %s", len(lines), raw)
+		}
+		var ok serve.PlaceResponse
+		if err := json.Unmarshal(lines[0], &ok); err != nil || len(ok.Placement) != 2 {
+			t.Fatalf("line 0: want a placement, got %s", lines[0])
+		}
+		for i, line := range lines[1:] {
+			var e serve.ErrorResponse
+			if err := json.Unmarshal(line, &e); err != nil || !strings.Contains(e.Error, "parsing request") {
+				t.Fatalf("line %d: want a parsing error, got %s", i+1, line)
+			}
+		}
 	})
 	t.Run("oversized-batch", func(t *testing.T) {
 		body := bytes.Repeat([]byte(`{"num_cores": 4, "num_apps": 2}`+"\n"), 1<<10)
@@ -488,43 +510,50 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestRequestFromStateRoundTrip pins the wire inversion the bench and the
-// differential harness rely on: state -> request -> state reproduces every
-// field and bit.
-func TestRequestFromStateRoundTrip(t *testing.T) {
-	st := &machine.QuantumState{
-		Quantum:       3,
-		NumCores:      4,
-		NumApps:       5,
-		AppIDs:        []int{7, 3, 9, 1, 4},
-		Prev:          machine.Placement{0, 1, 2, machine.Unplaced, 3},
-		Priorities:    []int{0, 1, 0, 2, 0},
-		DispatchWidth: 4,
-		SMTLevel:      2,
-		Samples:       make([]pmu.Counters, 5),
+// TestUnencodableAnswer serves a model whose finite coefficients overflow
+// the predicted degradations to +Inf, which JSON cannot carry: /v1/place
+// must answer 500 with a structured error and count it, and the batch
+// endpoint must answer the query with an error line in its place.
+func TestUnencodableAnswer(t *testing.T) {
+	model := core.PaperCoefficients()
+	for k := range model.Coef {
+		model.Coef[k].Alpha = 1e308 // each category finite, their sum not
 	}
-	for i := range st.Samples {
-		for e := range st.Samples[i] {
-			st.Samples[i][e] = uint64(i*100+e) * 0x0101010101010101 % (1 << 60)
-		}
-	}
-	req := serve.RequestFromState(st)
-	b, err := json.Marshal(req)
+	queries := synthQueries(t, core.PaperCoefficients(), 2)
+	reg := obs.NewRegistry()
+	_, hts := newTestServer(t, model, serve.Config{Registry: reg})
+	body, err := json.Marshal(queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back serve.PlaceRequest
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
+
+	resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", body)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %s, want 500 (body %s)", resp.Status, raw)
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
+	var e serve.ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
+		t.Fatalf("want a structured error body, got %q", raw)
 	}
-	for i := range st.Samples {
-		for e := range st.Samples[i] {
-			if back.Samples[i][e] != st.Samples[i][e] {
-				t.Fatalf("sample[%d][%d]: %d != %d after round trip", i, e, back.Samples[i][e], st.Samples[i][e])
-			}
+	if got := reg.Snapshot().Counters["synpad.place.errors"]; got != 1 {
+		t.Fatalf("synpad.place.errors = %d, want 1", got)
+	}
+
+	resp, raw = postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", append(append(body, '\n'), body...))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %s: %s", resp.Status, raw)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("batch returned %d lines for 2 queries: %s", len(lines), raw)
+	}
+	for i, line := range lines {
+		var e serve.ErrorResponse
+		if err := json.Unmarshal(line, &e); err != nil || !strings.Contains(e.Error, "encoding response") {
+			t.Fatalf("line %d: want an encoding error, got %s", i, line)
 		}
+	}
+	if got := reg.Snapshot().Counters["synpad.batch.errors"]; got != 2 {
+		t.Fatalf("synpad.batch.errors = %d, want 2", got)
 	}
 }

@@ -15,10 +15,12 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -226,9 +228,11 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseSlot()
 
 	var q PlaceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	if err == nil {
+		err = decodeRequest(body, &q)
+	}
+	if err != nil {
 		s.m.placeErrors.Add(1)
 		writeJSON(w, decodeStatus(err), ErrorResponse{Error: "parsing request: " + err.Error()})
 		return
@@ -246,12 +250,15 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Synpad-Generation", strconv.FormatInt(sv.gen, 10))
-	writeJSON(w, http.StatusOK, resp)
+	if writeJSON(w, http.StatusOK, resp) != nil {
+		s.m.placeErrors.Add(1)
+	}
 }
 
 // handleBatch answers POST /v1/place/batch: a JSONL stream of PlaceRequests
 // in, the matching JSONL stream of PlaceResponses out, strictly 1:1 and in
-// order (a malformed line yields an ErrorResponse line, not a dropped one).
+// order (a malformed line yields an ErrorResponse line, not a dropped one;
+// an empty line carries no query and gets no answer).
 // Lines are processed in chunks: each chunk's model inversions are warmed
 // through one InvertBatch before the per-query decisions, so duplicate ST
 // vectors across the chunk cost one Newton solve.
@@ -279,7 +286,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Synpad-Generation", strconv.FormatInt(sv.gen, 10))
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
-	enc := json.NewEncoder(bw)
+	// answer writes one line; a response that cannot be encoded becomes an
+	// ErrorResponse line, so the stream stays 1:1.
+	var buf bytes.Buffer
+	answer := func(v any) error {
+		buf.Reset()
+		if encodeAnswer(&buf, v) != nil {
+			s.m.batchErrors.Add(1)
+		}
+		_, err := bw.Write(buf.Bytes())
+		return err
+	}
 
 	type line struct {
 		q   *PlaceRequest
@@ -299,7 +316,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for _, ln := range chunk {
 			if ln.err != nil {
 				s.m.batchErrors.Add(1)
-				if err := enc.Encode(ErrorResponse{Error: ln.err.Error()}); err != nil {
+				if err := answer(ErrorResponse{Error: ln.err.Error()}); err != nil {
 					return err
 				}
 				continue
@@ -309,13 +326,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.m.placeLatency.Observe(float64(time.Since(t0).Nanoseconds()))
 			if err != nil {
 				s.m.batchErrors.Add(1)
-				if err := enc.Encode(ErrorResponse{Error: err.Error()}); err != nil {
+				if err := answer(ErrorResponse{Error: err.Error()}); err != nil {
 					return err
 				}
 				continue
 			}
 			s.m.batchQueries.Add(1)
-			if err := enc.Encode(resp); err != nil {
+			if err := answer(resp); err != nil {
 				return err
 			}
 		}
@@ -325,8 +342,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	for sc.Scan() {
 		raw := sc.Bytes()
+		if len(raw) == 0 {
+			continue
+		}
 		ln := line{q: &PlaceRequest{}}
-		if err := json.Unmarshal(raw, ln.q); err != nil {
+		if err := decodeRequest(raw, ln.q); err != nil {
 			ln = line{err: fmt.Errorf("parsing request: %w", err)}
 		}
 		chunk = append(chunk, ln)
@@ -439,8 +459,29 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeAnswer appends v's JSON line to buf. A value that cannot be
+// encoded (a non-finite float) appends an ErrorResponse naming the failure
+// instead, and its error is returned.
+func encodeAnswer(buf *bytes.Buffer, v any) error {
+	err := json.NewEncoder(buf).Encode(v) // writes nothing on failure
+	if err != nil {
+		_ = json.NewEncoder(buf).Encode(ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
+	}
+	return err
+}
+
+// writeJSON answers status with v's JSON encoding. It encodes before it
+// writes the header, so a value that cannot be encoded answers 500 with an
+// ErrorResponse, never status with an empty body; the encoding error is
+// returned for the caller's error count.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	var buf bytes.Buffer
+	err := encodeAnswer(&buf, v)
+	if err != nil {
+		status = http.StatusInternalServerError
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+	return err
 }

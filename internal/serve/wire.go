@@ -7,13 +7,21 @@
 // # Wire format
 //
 // Requests and responses are JSON. A placement query carries exactly the
-// fields of machine.QuantumState: PMU sample deltas are uint64 and
-// encoding/json round-trips integers exactly (digits, not float64), so the
-// bits a query carries over HTTP are the bits PlaceR keys its memos with.
-// Responses carry only float64 degradations and integer placements; Go
-// marshals float64 via shortest-representation encoding, which parses back
-// to the identical bits — equal values therefore imply equal bytes, the
-// property the HTTP-vs-in-process differential gate compares.
+// fields of machine.QuantumState. The server decodes it in a single pass
+// with no reflection (decode.go): keys are matched on their bytes and
+// integers parsed in place, straight into a PlaceRequest. It accepts what
+// encoding/json with DisallowUnknownFields accepts, decoded to the same
+// value, with two stricter rules: a key must be spelled exactly as its
+// field's tag (case-sensitive, no escapes), and only whitespace may follow
+// the object. Integers are parsed as digits, never through float64, so a
+// uint64 PMU delta round-trips bit-exactly and the bits a query carries
+// over HTTP are the bits PlaceR keys its memos with. Responses carry only
+// float64 degradations and integer placements, encoded by encoding/json;
+// Go marshals float64 via shortest-representation encoding, which parses
+// back to the identical bits — equal values therefore imply equal bytes,
+// the property the HTTP-vs-in-process differential gate compares. A
+// response that cannot be encoded (a non-finite degradation) is answered
+// as a 500 error, or as an error line in a batch.
 //
 // # Statelessness
 //
