@@ -19,7 +19,9 @@
 //
 // The perfstat report records each experiment's wall time and allocation
 // churn plus the run configuration, so committed BENCH_*.json files form a
-// performance trajectory across PRs.
+// performance trajectory across changes. Placement latency and throughput,
+// in process and served by synpad, are measured by the repository
+// benchmark instead (perfbench/, e.g. its synpad-loop workload).
 package main
 
 import (
@@ -69,9 +71,6 @@ func main() {
 		perfOut    = flag.String("perfstat", "", "write per-experiment wall-time/alloc JSON to this path ('auto' picks the next BENCH_NNNN.json)")
 		fleetM     = flag.Int("fleet-machines", 0, "dynfleet-scale cluster size (0 = 500)")
 		fleetJ     = flag.Int("fleet-jobs", 0, "dynfleet-scale stream length (0 = 1,000,000)")
-		qpsG       = flag.Int("qps-goroutines", 0, "placement-qps/synpad-qps max concurrent goroutines (0 = 4)")
-		qpsP       = flag.Int("qps-passes", 0, "placement-qps/synpad-qps replay passes over the recorded query log (0 = 32 in-process, 8 served)")
-		qpsQ       = flag.Int("qps-queries", 0, "placement-qps/synpad-qps recorded-query cap (0 = 256)")
 		traceOut   = flag.String("trace-out", "", "write the run's event trace to this '[format:]path' (formats: chrome = Perfetto trace-event JSON, jsonl; default by extension). Needs a single -experiment and forces -parallel=false so the trace stays deterministic")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry snapshot (counters/histograms, JSON) to this path; byte-stable across runs when -parallel=false")
 	)
@@ -171,16 +170,6 @@ func main() {
 		{"dynfleet", s.DynFleetTable},
 		{"dynfleet-scale", func() (*experiments.Table, error) {
 			return s.DynFleetScale(experiments.FleetScaleOptions{Machines: *fleetM, Jobs: *fleetJ})
-		}},
-		{"placement-qps", func() (*experiments.Table, error) {
-			return s.PlacementQPSOpt(experiments.PlacementQPSOptions{
-				MaxGoroutines: *qpsG, Passes: *qpsP, MaxQueries: *qpsQ,
-			})
-		}},
-		{"synpad-qps", func() (*experiments.Table, error) {
-			return s.SynpadQPSOpt(experiments.PlacementQPSOptions{
-				MaxGoroutines: *qpsG, Passes: *qpsP, MaxQueries: *qpsQ,
-			})
 		}},
 		{"smt4", s.SMT4Table},
 	}

@@ -193,6 +193,33 @@ func BenchmarkDecodeRequest(b *testing.B) {
 	})
 }
 
+// TestValidateAllocatesNothing pins that Validate, including its scan for
+// repeated app_ids, allocates nothing on a full 4-core SMT2 query: the
+// recorded body widened to 8 live apps with distinct identities.
+func TestValidateAllocatesNothing(t *testing.T) {
+	body, err := os.ReadFile("testdata/place_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q PlaceRequest
+	if err := decodeRequest(body, &q); err != nil {
+		t.Fatal(err)
+	}
+	for i := q.NumApps; i < 8; i++ {
+		q.AppIDs = append(q.AppIDs, q.AppIDs[i-1]+1)
+		q.Prev = append(q.Prev, i%q.NumCores)
+		q.Samples = append(q.Samples, q.Samples[i%q.NumCores])
+		q.Priorities = append(q.Priorities, 0)
+	}
+	q.NumApps = 8
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = q.Validate() }); n != 0 {
+		t.Fatalf("Validate allocates %v times per call", n)
+	}
+}
+
 // TestRequestFromStateRoundTrip pins the wire inversion the bench and the
 // differential harness rely on: state -> request -> JSON -> decodeRequest
 // -> state reproduces every field and bit.

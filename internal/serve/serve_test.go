@@ -328,8 +328,8 @@ func TestErrors(t *testing.T) {
 
 	// Single queries that must fail: malformed, unknown or misspelled keys
 	// (keys match the field names exactly), data after the object,
-	// infeasible shapes, and bodies over MaxRequestBytes, however they are
-	// padded.
+	// infeasible shapes, repeated app identities, and bodies over
+	// MaxRequestBytes, however they are padded.
 	for _, tc := range []struct {
 		name, body string
 		status     int
@@ -341,6 +341,7 @@ func TestErrors(t *testing.T) {
 		{"infeasible-query", `{"num_cores": 2, "num_apps": 5}`, http.StatusBadRequest},
 		{"too-many-cores", fmt.Sprintf(`{"num_cores": %d, "num_apps": 2}`, serve.MaxCores+1), http.StatusBadRequest},
 		{"negative-dispatch-width", `{"num_cores": 2, "num_apps": 2, "dispatch_width": -4}`, http.StatusBadRequest},
+		{"duplicate-app-ids", `{"num_cores": 2, "num_apps": 3, "app_ids": [4, 7, 4]}`, http.StatusBadRequest},
 		{"oversized-place", fmt.Sprintf(`{"num_cores": 4, "num_apps": 2, "app_ids": [%s1]}`, strings.Repeat("1,", 4<<10)), http.StatusRequestEntityTooLarge},
 		{"oversized-padding", `{"num_cores": 4, "num_apps": 2}` + strings.Repeat(" ", 4<<10), http.StatusRequestEntityTooLarge},
 	} {
@@ -374,14 +375,16 @@ func TestErrors(t *testing.T) {
 		body := `{"num_cores": 2, "num_apps": 2}` + "\n\n" +
 			`{"num_cores": 2, "num_apps": 2, "bogus": 1}` + "\n" +
 			`{"Num_Cores": 2, "num_apps": 2}` + "\n" +
-			`{"num_cores": 2, "num_apps": 2} x` + "\n"
+			`{"num_cores": 2, "num_apps": 2} x` + "\n" +
+			`{"num_cores": 2, "num_apps": 2, "app_ids": [5, 5]}` + "\n"
+		wantErr := []string{"parsing request", "parsing request", "parsing request", "repeats app_ids[0]"}
 		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(body))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch status %s: %s", resp.Status, raw)
 		}
 		lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-		if len(lines) != 4 {
-			t.Fatalf("batch returned %d lines for 4 queries: %s", len(lines), raw)
+		if len(lines) != 1+len(wantErr) {
+			t.Fatalf("batch returned %d lines for %d queries: %s", len(lines), 1+len(wantErr), raw)
 		}
 		var ok serve.PlaceResponse
 		if err := json.Unmarshal(lines[0], &ok); err != nil || len(ok.Placement) != 2 {
@@ -389,8 +392,8 @@ func TestErrors(t *testing.T) {
 		}
 		for i, line := range lines[1:] {
 			var e serve.ErrorResponse
-			if err := json.Unmarshal(line, &e); err != nil || !strings.Contains(e.Error, "parsing request") {
-				t.Fatalf("line %d: want a parsing error, got %s", i+1, line)
+			if err := json.Unmarshal(line, &e); err != nil || !strings.Contains(e.Error, wantErr[i]) {
+				t.Fatalf("line %d: want an error containing %q, got %s", i+1, wantErr[i], line)
 			}
 		}
 	})

@@ -123,6 +123,17 @@ func (q *PlaceRequest) Validate() error {
 	if q.AppIDs != nil && len(q.AppIDs) != q.NumApps {
 		return fmt.Errorf("app_ids has %d entries for %d apps", len(q.AppIDs), q.NumApps)
 	}
+	// Identities must be distinct: the identity-aware smoothing keys each
+	// app's history on its ID, so a repeated ID would merge two apps'
+	// histories. Quadratic, but num_apps is at most MaxCores × MaxSMTLevel
+	// and the scan allocates nothing.
+	for i, id := range q.AppIDs {
+		for j := range i {
+			if q.AppIDs[j] == id {
+				return fmt.Errorf("app_ids[%d] = %d repeats app_ids[%d]", i, id, j)
+			}
+		}
+	}
 	if q.Prev != nil && len(q.Prev) != q.NumApps {
 		return fmt.Errorf("prev has %d entries for %d apps", len(q.Prev), q.NumApps)
 	}
