@@ -63,9 +63,10 @@ type gotFile struct {
 }
 
 // goldenExperiments returns the digest-mode experiment set in a fixed order:
-// the closed-system figure/table claims (fig5, fig9, table4), the dynamic
-// scenarios (dyn0–dyn4 via the dynamic table), the SMT4 comparison, and the
-// fleet grid (whose digest doubles as the worker-count-invariance pin: CI
+// the closed-system figure/table claims (fig5, fig9, table4), the
+// pair-selection ablation (the only output of PolicyOptions.Matcher), the
+// dynamic scenarios (dyn0–dyn4 via the dynamic table), the SMT4 comparison,
+// and the fleet grid (whose digest doubles as the worker-count-invariance pin: CI
 // runs it at whatever parallelism the runner has, and the digest only
 // matches if the report is bit-identical to the committed serial render).
 func goldenExperiments(s *experiments.Suite) []struct {
@@ -79,6 +80,7 @@ func goldenExperiments(s *experiments.Suite) []struct {
 		{"fig5", s.Fig5},
 		{"fig9", s.Fig9},
 		{"table4", s.TableIV},
+		{"ablation-matcher", s.AblationMatcher},
 		{"dynamic", s.DynamicTable},
 		{"smt4", s.SMT4Table},
 		{"dynfleet", s.DynFleetTable},
