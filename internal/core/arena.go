@@ -25,9 +25,9 @@ import (
 // is one arena per goroutine, many arenas per policy. Build one with
 // Policy.NewArena.
 //
-// The smoothing/hysteresis history (lastST, lastIDs, mates) is per-arena
-// on purpose: each serving stream tracks the machine it is deciding for,
-// so interleaved streams never blend each other's estimates.
+// The smoothing history (lastST, lastIDs) is per-arena on purpose: each
+// serving stream tracks the machine it is deciding for, so interleaved
+// streams never blend each other's estimates.
 type Arena struct {
 	// lastST caches the most recent ST estimates per application for
 	// smoothing, introspection and tests.
@@ -35,8 +35,6 @@ type Arena struct {
 	// lastIDs holds the stable app identities behind lastST's rows (see
 	// Policy docs: dynamic runs hand identities in AppIDs).
 	lastIDs []int
-	// mates is the reusable pairing view of the previous placement.
-	mates []int
 
 	// The estimate matrices double-buffer across quanta: the fresh
 	// estimates are built in the buffer lastST does not occupy, smoothed
@@ -50,12 +48,16 @@ type Arena struct {
 	// allocation, so the diagonal stays zero across reuses.
 	wRows [][]float64
 	wBack []float64
-	// meanBuf is the grouped path's reusable co-runner mean vector,
-	// filled its reusable row-completion scratch, and frac its reusable
+	// meanBuf is Step 1's reusable co-runner mean vector and frac its
 	// per-app fraction-row header slice.
 	meanBuf []float64
-	filled  []bool
 	frac    [][]float64
+	// prevGroups holds the previous placement's per-core groups, and
+	// matchRows/matchBack the groups read off an SMT2 matching
+	// (grouped.go).
+	prevGroups [][]int
+	matchRows  [][]int
+	matchBack  []int
 
 	// mws is the Blossom matcher's reusable working memory: the solver's
 	// O(n²) edge matrix is the dominant per-decision allocation, and

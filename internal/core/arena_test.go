@@ -79,7 +79,7 @@ func TestPlaceRMatchesPlaceAcrossCacheModes(t *testing.T) {
 		t.Fatal("cache-disabled diverged from cached")
 	}
 
-	// The grouped path too (SMT4): same three-way differential.
+	// The SMT4 set partition too: same three-way differential.
 	smt4 := func(opt PolicyOptions) []machine.Placement {
 		pol := MustPolicy(m, opt)
 		return drivePlacements(func(st *machine.QuantumState) machine.Placement {
@@ -95,7 +95,7 @@ func TestPlaceRMatchesPlaceAcrossCacheModes(t *testing.T) {
 		return pg.Place(st)
 	}, quanta, 12, 3)
 	if !reflect.DeepEqual(got4, want4) {
-		t.Fatal("grouped path with shared cache diverged")
+		t.Fatal("SMT4 placement with shared cache diverged")
 	}
 }
 

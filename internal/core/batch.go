@@ -29,41 +29,35 @@ type InvertResult struct {
 
 // WarmInversions prefetches the model inversions a batch of placement
 // queries will need, through one InvertBatch call on the caller's arena.
-// For every state on the pairwise path (SMT2, inversion enabled) it
-// extracts exactly the per-pair fraction vectors PlaceR's Step 1 would
-// extract — same extractor, same (lower-index, co-runner) argument order —
-// so the memo entries it populates are keyed by the exact bits the
-// subsequent PlaceR calls will look up. Warming is bit-neutral by the
-// predcache argument: a hit returns the bit-identical value a fresh
-// evaluation would produce, so the only effect is when the Newton solves
-// run, never what they produce. It returns the number of pair inversions
-// batched. The serving batch endpoint calls this once per request chunk to
-// amortise inversion work across the chunk.
+// For every core of every state that held exactly two applications (at
+// any SMT level, inversion enabled) it extracts exactly the fraction
+// vectors PlaceR's Step 1 would extract — same extractor, same
+// (lower-index, higher-index) argument order — so the memo entries it
+// populates are keyed by the exact bits the subsequent PlaceR calls will
+// look up. Larger groups, inverted against mean co-runner vectors, are not
+// warmed. Warming is bit-neutral by the predcache argument: a hit returns
+// the bit-identical value a fresh evaluation would produce, so the only
+// effect is when the Newton solves run, never what they produce. It
+// returns the number of pair inversions batched. The serving batch
+// endpoint calls this once per request chunk to amortise inversion work
+// across the chunk.
 func (p *Policy) WarmInversions(a *Arena, sts []*machine.QuantumState) int {
 	if p.opt.DisableInversion {
 		return 0
 	}
 	var reqs []InvertRequest
-	var mates []int
 	for _, st := range sts {
 		if st == nil || st.Samples == nil || st.Prev == nil {
 			continue
 		}
-		if st.ThreadsPerCore() != 2 || p.opt.ForceGrouping {
-			continue // the grouped path inverts against mean co-runner vectors
-		}
-		mates = st.Prev.CoMates(mates)
-		for i := 0; i < st.NumApps; i++ {
-			if i >= len(mates) {
-				break
-			}
-			mate := mates[i]
-			if mate <= i || mate >= len(st.Samples) {
-				continue // solo, or the pair is keyed at the lower index
+		a.prevGroups = st.Prev.PairsOf(st.NumCores, a.prevGroups)
+		for _, g := range a.prevGroups {
+			if len(g) != 2 || g[1] >= len(st.Samples) {
+				continue
 			}
 			reqs = append(reqs, InvertRequest{
-				FI: p.opt.Extract(st.Samples[i], st.DispatchWidth),
-				FJ: p.opt.Extract(st.Samples[mate], st.DispatchWidth),
+				FI: p.opt.Extract(st.Samples[g[0]], st.DispatchWidth),
+				FJ: p.opt.Extract(st.Samples[g[1]], st.DispatchWidth),
 			})
 		}
 	}

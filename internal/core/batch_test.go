@@ -13,8 +13,8 @@ import (
 	"synpa/internal/pmu"
 )
 
-// warmStates builds deterministic pairwise-path quantum states whose Prev
-// places apps in co-running pairs, so every state contributes inversions.
+// warmStates builds deterministic quantum states whose Prev places apps in
+// co-running pairs, so every state contributes pair inversions.
 func warmStates(n, apps, cores int) []*machine.QuantumState {
 	out := make([]*machine.QuantumState, 0, n)
 	for q := 0; q < n; q++ {
@@ -39,46 +39,64 @@ func warmStates(n, apps, cores int) []*machine.QuantumState {
 }
 
 func TestWarmInversionsKeysMatchPlaceR(t *testing.T) {
-	const apps, cores = 8, 4
 	m := PaperCoefficients()
-	sts := warmStates(6, apps, cores)
+	for _, c := range []struct {
+		name             string
+		apps, cores, smt int
+	}{
+		{"smt2", 8, 4, 2},
+		// Three two-app cores and a solo on SMT4 cores: two-app cores
+		// invert jointly at every level, so they warm at every level.
+		{"smt4", 7, 4, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sts := warmStates(6, c.apps, c.cores)
+			for _, st := range sts {
+				st.SMTLevel = c.smt
+			}
 
-	// Reference: the placements an unwarmed policy produces.
-	ref := MustPolicy(m, PolicyOptions{})
-	ra := ref.NewArena()
-	want := make([]machine.Placement, len(sts))
-	for i, st := range sts {
-		want[i] = ref.PlaceR(ra, st)
+			// Reference: the placements an unwarmed policy produces.
+			ref := MustPolicy(m, PolicyOptions{})
+			ra := ref.NewArena()
+			want := make([]machine.Placement, len(sts))
+			for i, st := range sts {
+				want[i] = ref.PlaceR(ra, st)
+			}
+
+			// Warmed run: prefetch all inversions, then place. Every
+			// inversion PlaceR needs must already be memoised — zero
+			// misses — and the placements must be bit-identical.
+			p := MustPolicy(m, PolicyOptions{})
+			a := p.NewArena()
+			n := p.WarmInversions(a, sts)
+			if n == 0 {
+				t.Fatal("warm batched no inversions — the test workload is vacuous")
+			}
+			inv0, _ := a.CacheStats()
+			for i, st := range sts {
+				if got := p.PlaceR(a, st); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("state %d: warmed placement %v != unwarmed %v", i, got, want[i])
+				}
+			}
+			inv1, _ := a.CacheStats()
+			if misses := inv1.Misses - inv0.Misses; misses != 0 {
+				t.Fatalf("PlaceR missed the memo %d times after warming — key mismatch", misses)
+			}
+			if inv1.Hits <= inv0.Hits {
+				t.Fatal("PlaceR recorded no memo hits after warming")
+			}
+		})
 	}
 
-	// Warmed run: prefetch all inversions, then place. Every inversion
-	// PlaceR needs must already be memoised — zero misses — and the
-	// placements must be bit-identical.
+	// States with no two-app core (SMT4 quads), no samples, or nil are
+	// skipped, not mis-keyed.
 	p := MustPolicy(m, PolicyOptions{})
-	a := p.NewArena()
-	n := p.WarmInversions(a, sts)
-	if n == 0 {
-		t.Fatal("warm batched no inversions — the test workload is vacuous")
+	quads := warmStates(1, 8, 2)[0]
+	quads.SMTLevel = 4
+	for i := range quads.Prev {
+		quads.Prev[i] = i / 4
 	}
-	inv0, _ := a.CacheStats()
-	for i, st := range sts {
-		if got := p.PlaceR(a, st); !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("state %d: warmed placement %v != unwarmed %v", i, got, want[i])
-		}
-	}
-	inv1, _ := a.CacheStats()
-	if misses := inv1.Misses - inv0.Misses; misses != 0 {
-		t.Fatalf("PlaceR missed the memo %d times after warming — key mismatch", misses)
-	}
-	if inv1.Hits <= inv0.Hits {
-		t.Fatal("PlaceR recorded no memo hits after warming")
-	}
-
-	// States off the pairwise path (SMT4, nil samples) are skipped, not
-	// mis-keyed.
-	smt4 := warmStates(1, 12, 3)
-	smt4[0].SMTLevel = 4
-	if got := p.WarmInversions(a, []*machine.QuantumState{smt4[0], nil, {NumApps: 2, NumCores: 4}}); got != 0 {
+	if got := p.WarmInversions(p.NewArena(), []*machine.QuantumState{quads, nil, {NumApps: 2, NumCores: 4}}); got != 0 {
 		t.Fatalf("warm batched %d inversions for off-path states, want 0", got)
 	}
 }

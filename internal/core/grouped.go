@@ -1,158 +1,147 @@
 package core
 
-// The grouped allocation path: SYNPA's Step 3 for SMT levels above 2, where
-// the per-quantum pair selection becomes the weighted set-partition problem
-// of the paper's follow-up ("A New Family of Thread to Core Allocation
-// Policies for an SMT ARM Processor", arXiv:2507.00855). The pairwise
-// interference model keeps driving the decision: a candidate group's cost
-// is the sum of its members' pairwise predicted degradations, and
-// internal/grouping minimises the total over all core groups. At SMT2 the
-// subsystem delegates to the same blossom matcher as the classic path, so
-// ForceGrouping reproduces the pairwise placements exactly (differential
-// test in grouped_test.go).
+// Co-runner groups: the unit PlaceR's pipeline works in at every SMT level.
+// Step 1 inverts the model on each core's previous group, Step 3 returns
+// the new groups and placeGroups maps them onto cores. At SMT2 a group is a
+// pair (or a solo app) and Step 3 is the paper's blossom matching; above
+// SMT2 Step 3 becomes the weighted set-partition problem of the paper's
+// follow-up ("A New Family of Thread to Core Allocation Policies for an
+// SMT ARM Processor", arXiv:2507.00855), solved by internal/grouping. The
+// pairwise interference model drives the decision at every level: a
+// candidate group's cost is the sum of its members' pairwise predicted
+// degradations.
 
 import (
-	"math"
-
 	"synpa/internal/grouping"
 	"synpa/internal/machine"
 	"synpa/internal/perfstat"
 )
 
-// placeGrouped is PlaceR for machines running level (> 2, or 2 under
-// ForceGrouping) hardware threads per core; all scratch comes from the
-// caller's arena.
-func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) machine.Placement {
-	if st.Samples == nil || st.Prev == nil {
-		return arrivalOrderPlacement(st.NumApps, st.NumCores)
-	}
+// estimate is Step 1: each application's ST category vector, inverted from
+// its measured SMT fractions against its previous co-runner group. A core
+// holding two applications is inverted jointly — one Invert(lower, higher)
+// call fills both rows, the paper's pairwise inversion. A larger group
+// inverts each member against the mean fraction vector of the others, the
+// pairwise model's first-order aggregate. Solo applications keep their
+// measured fractions (they are ST already), as does every application
+// under the inversion ablation.
+func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) [][]float64 {
 	n := st.NumApps
-
-	// Step 1: estimate each application's ST category vector by inverting
-	// the model against its co-runner set. The set is summarised by the
-	// mean co-runner fraction vector — the pairwise model's first-order
-	// aggregate, which with a single co-runner reduces to the exact
-	// pairwise inversion of the classic path. The estimate matrix is
-	// double-buffered and inversions are memoized, exactly as in the
-	// pairwise path.
-	groups := st.Prev.PairsOf(st.NumCores)
 	if cap(a.frac) < n {
 		a.frac = make([][]float64, n)
 	}
 	frac := a.frac[:n]
-	for i := 0; i < n; i++ {
-		frac[i] = p.opt.Extract(st.Samples[i], st.DispatchWidth)
-	}
 	est := a.newEstMatrix(n, p.model.K())
-	if cap(a.filled) < n {
-		a.filled = make([]bool, n)
+	for i := range frac {
+		frac[i] = p.opt.Extract(st.Samples[i], st.DispatchWidth)
+		copy(est[i], frac[i]) // the inversions below overwrite co-running apps' rows
+		normalize(est[i])
 	}
-	filled := a.filled[:n]
-	for i := range filled {
-		filled[i] = false
+	if p.opt.DisableInversion {
+		return est
 	}
-	if !p.opt.DisableInversion {
-		for _, g := range groups {
+	for _, g := range groups {
+		switch len(g) {
+		case 0, 1:
+			// Idle core, or a solo app.
+		case 2:
+			ci, cj, _ := a.memo.Invert(frac[g[0]], frac[g[1]], p.invertFn)
+			copy(est[g[0]], ci)
+			copy(est[g[1]], cj)
+		default:
 			for _, i := range g {
-				var mean []float64
-				others := 0
-				for _, j := range g {
-					if j == i {
-						continue
-					}
-					if mean == nil {
-						if cap(a.meanBuf) < len(frac[j]) {
-							a.meanBuf = make([]float64, len(frac[j]))
-						}
-						mean = a.meanBuf[:len(frac[j])]
-						for k := range mean {
-							mean[k] = 0
-						}
-					}
-					for k := range frac[j] {
-						mean[k] += frac[j][k]
-					}
-					others++
-				}
-				if others == 0 {
-					continue // solo: handled below, measurements are ST already
-				}
-				if others > 1 {
-					for k := range mean {
-						mean[k] /= float64(others)
-					}
-				}
-				ci, _, _ := a.memo.Invert(frac[i], mean, p.invertFn)
+				ci, _, _ := a.memo.Invert(frac[i], a.coRunnerMean(frac, g, i), p.invertFn)
 				copy(est[i], ci)
-				filled[i] = true
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if !filled[i] {
-			// Running alone (its measurements are ST already), not in any
-			// Prev group, or the inversion ablation is active.
-			copy(est[i], frac[i])
-			normalize(est[i])
+	return est
+}
+
+// coRunnerMean returns the mean fraction vector of group g's members other
+// than i, in the arena's reusable buffer.
+func (a *Arena) coRunnerMean(frac [][]float64, g []int, i int) []float64 {
+	k := len(frac[i])
+	if cap(a.meanBuf) < k {
+		a.meanBuf = make([]float64, k)
+	}
+	mean := a.meanBuf[:k]
+	for c := range mean {
+		mean[c] = 0
+	}
+	for _, j := range g {
+		if j == i {
+			continue
+		}
+		for c := range frac[j] {
+			mean[c] += frac[j][c]
 		}
 	}
-	p.smoothAndRemember(a, st, est)
-
-	// Step 2: the pairwise degradation matrix over the live applications,
-	// reused across quanta with memoized predictions.
-	w := a.wMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			cost := a.memo.Pair(est[i], est[j], p.pairFn)
-			if math.IsNaN(cost) || math.IsInf(cost, 0) {
-				cost = 1e6
-			}
-			w[i][j], w[j][i] = cost, cost
-		}
+	for c := range mean {
+		mean[c] /= float64(len(g) - 1)
 	}
+	return mean
+}
 
-	// Step 3: minimum-cost partition into at most NumCores groups of at
-	// most level members.
-	t0 := perfstat.PhaseClock()
-	res, err := grouping.Partition(w, st.NumCores, level, p.opt.Grouping)
-	perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
+// group is Step 3: the minimum-cost co-runner groups over the weight matrix
+// w, in canonical order (members ascending, groups by smallest member),
+// with their cost under grouping.PartitionCost. At SMT2 it runs the
+// configured, memoized matcher on the idle-padded graph; at every other
+// level it runs grouping.Partition.
+func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo float64) ([][]int, float64, error) {
+	if level != 2 {
+		t0 := perfstat.PhaseClock()
+		res, err := grouping.Partition(w, numCores, level, p.opt.Grouping)
+		perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
+		if err != nil {
+			return nil, 0, err
+		}
+		return res.Groups, res.Cost, nil
+	}
+	mate, err := p.match(a, w)
 	if err != nil {
-		// Partitioning cannot fail on a validated live set; if it somehow
-		// does, keep the previous placement rather than crash the manager
-		// (only if every app already has a core — under dynamic occupancy
-		// a fresh arrival does not).
-		if fullyPlaced(st.Prev, st.NumCores) {
-			return st.Prev.Clone()
-		}
-		return arrivalOrderPlacement(n, st.NumCores)
+		return nil, 0, err
 	}
+	groups := a.matchedGroups(mate, n)
+	return groups, grouping.PartitionCost(w, groups, solo), nil
+}
 
-	// Hysteresis over groups: only migrate when the predicted gain is
-	// material, evaluating the previous grouping under the same matrix and
-	// the same solo-cost scale Partition priced the new one with.
-	if p.opt.Hysteresis > 0 && fullyPlaced(st.Prev, st.NumCores) {
-		prevCost := grouping.PartitionCost(w, groups, p.opt.Grouping.ResolvedSoloCost())
-		if prevCost-res.Cost < p.opt.Hysteresis*prevCost {
-			return st.Prev.Clone()
-		}
+// matchedGroups turns a matching on the idle-padded graph into canonical
+// groups over the n real applications: {i, m} for a real pair, {i} for an
+// application matched to an idle slot. The groups slice arena scratch.
+func (a *Arena) matchedGroups(mate []int, n int) [][]int {
+	if cap(a.matchBack) < n {
+		a.matchBack = make([]int, 0, n)
 	}
-
-	return placeGroups(res.Groups, n, st.NumCores, st.Prev)
+	back, rows := a.matchBack[:0], a.matchRows[:0]
+	for i := 0; i < n && i < len(mate); i++ {
+		start := len(back)
+		switch m := mate[i]; {
+		case m < 0 || m >= n:
+			back = append(back, i)
+		case m > i:
+			back = append(back, i, m)
+		default:
+			continue // the pair is listed at its lower member
+		}
+		rows = append(rows, back[start:len(back):len(back)])
+	}
+	a.matchRows = rows
+	return rows
 }
 
 // placeGroups maps solved groups onto cores, preferring each group's
 // previous core to minimise migrations (a group that stays put keeps its
-// pipeline state). It is placePairs generalised to arbitrary group sizes.
+// pipeline state).
 func placeGroups(groups [][]int, numApps, numCores int, prev machine.Placement) machine.Placement {
 	place := make(machine.Placement, numApps)
 	for i := range place {
 		place[i] = -1
 	}
 	usedCore := make([]bool, numCores)
-	assigned := make([]bool, len(groups))
 
 	// First pass: groups that can stay on a previous core of one member.
-	for gi, g := range groups {
+	for _, g := range groups {
 		for _, member := range g {
 			if member < 0 || member >= len(prev) {
 				continue
@@ -163,16 +152,15 @@ func placeGroups(groups [][]int, numApps, numCores int, prev machine.Placement) 
 					place[m] = c
 				}
 				usedCore[c] = true
-				assigned[gi] = true
 				break
 			}
 		}
 	}
 	// Second pass: remaining groups take the lowest free core.
 	next := 0
-	for gi, g := range groups {
-		if assigned[gi] {
-			continue
+	for _, g := range groups {
+		if len(g) == 0 || place[g[0]] >= 0 {
+			continue // empty, or kept its previous core
 		}
 		for next < numCores && usedCore[next] {
 			next++

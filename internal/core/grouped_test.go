@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -24,46 +26,56 @@ func randSamples(rng *xrand.RNG, n int) []pmu.Counters {
 	return out
 }
 
-// TestForceGroupingMatchesPairwise is the SMT2 regression differential of
-// the grouping subsystem: across multi-quantum sequences of random samples,
-// the policy routed through grouping.Partition (ForceGrouping) must produce
-// exactly the placements of the classic blossom-matching path, quantum for
-// quantum — grouping at L = 2 reproduces blossom placements.
-func TestForceGroupingMatchesPairwise(t *testing.T) {
-	for _, n := range []int{5, 7, 8} { // odd counts exercise solo groups
+// TestSMT2PlacementsMatchPairwiseRecord pins PlaceR's SMT2 placements to
+// those of the SMT2-only pairwise implementation it replaced: across
+// multi-quantum sequences of random samples, with hysteresis at its
+// default and off, the digest of every quantum's placement must equal the
+// digest that implementation produced on the same inputs. Odd counts
+// exercise solo groups.
+func TestSMT2PlacementsMatchPairwiseRecord(t *testing.T) {
+	want := map[string]string{
+		"n=5/seed=1": "fad784131e57135d",
+		"n=5/seed=2": "8b40a0842f0d0135",
+		"n=5/seed=3": "3204772bf7a65923",
+		"n=7/seed=1": "1fb35ff8f26dd477",
+		"n=7/seed=2": "aa266348f49baf44",
+		"n=7/seed=3": "858f2b7780164067",
+		"n=8/seed=1": "c36339ec2f239dcd",
+		"n=8/seed=2": "ec0e48874a2f5302",
+		"n=8/seed=3": "7ffe3290506a55c5",
+	}
+	for _, n := range []int{5, 7, 8} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
-				pair := MustPolicy(PaperCoefficients(), PolicyOptions{})
-				grp := MustPolicy(PaperCoefficients(), PolicyOptions{ForceGrouping: true})
-				rng := xrand.New(seed)
-				var prevPair, prevGrp machine.Placement
-				var samples []pmu.Counters
-				for q := 0; q < 25; q++ {
-					stPair := &machine.QuantumState{
-						Quantum: q, NumApps: n, NumCores: 4, DispatchWidth: 4,
-						Prev: prevPair, Samples: samples,
+			name := fmt.Sprintf("n=%d/seed=%d", n, seed)
+			t.Run(name, func(t *testing.T) {
+				h := sha256.New()
+				for _, opt := range []PolicyOptions{{}, {Hysteresis: -1}} {
+					p := MustPolicy(PaperCoefficients(), opt)
+					rng := xrand.New(seed)
+					var prev machine.Placement
+					var samples []pmu.Counters
+					for q := 0; q < 25; q++ {
+						place := p.Place(&machine.QuantumState{
+							Quantum: q, NumApps: n, NumCores: 4, DispatchWidth: 4,
+							Prev: prev, Samples: samples,
+						})
+						if err := place.Validate(4, 2); err != nil {
+							t.Fatalf("quantum %d: %v", q, err)
+						}
+						fmt.Fprintln(h, place)
+						prev = place
+						samples = randSamples(rng, n)
 					}
-					stGrp := &machine.QuantumState{
-						Quantum: q, NumApps: n, NumCores: 4, DispatchWidth: 4,
-						Prev: prevGrp, Samples: samples,
-					}
-					pp := pair.Place(stPair)
-					gp := grp.Place(stGrp)
-					if !reflect.DeepEqual(pp, gp) {
-						t.Fatalf("quantum %d: pairwise %v != grouped %v", q, pp, gp)
-					}
-					if err := pp.Validate(4, 2); err != nil {
-						t.Fatalf("quantum %d: %v", q, err)
-					}
-					prevPair, prevGrp = pp, gp
-					samples = randSamples(rng, n)
+				}
+				if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want[name] {
+					t.Fatalf("placement digest %s, want %s", got, want[name])
 				}
 			})
 		}
 	}
 }
 
-// TestPlaceGroupedSMT4 drives the grouped path directly: 8 applications on
+// TestPlaceGroupedSMT4 drives the SMT4 set partition: 8 applications on
 // 2 SMT4 cores must fill both cores with quads, deterministically.
 func TestPlaceGroupedSMT4(t *testing.T) {
 	mk := func() (*Policy, *machine.QuantumState) {
@@ -111,6 +123,23 @@ func TestPlaceGroupedPartialOccupancy(t *testing.T) {
 	}
 	if len(place) != 5 {
 		t.Fatalf("placement %v has wrong length", place)
+	}
+}
+
+// TestPlaceShortPrevNotHeld pins the hysteresis guard: a previous
+// placement that covers fewer applications than the live set is never
+// returned as the decision, at SMT2 or above.
+func TestPlaceShortPrevNotHeld(t *testing.T) {
+	for _, level := range []int{2, 4} {
+		p := MustPolicy(PaperCoefficients(), PolicyOptions{Hysteresis: 0.5})
+		st := &machine.QuantumState{
+			Quantum: 1, NumApps: 3, NumCores: 2, DispatchWidth: 4, SMTLevel: level,
+			Prev:    machine.Placement{0, 0},
+			Samples: randSamples(xrand.New(5), 3),
+		}
+		if place := p.Place(st); len(place) != 3 || place.Validate(2, level) != nil {
+			t.Fatalf("SMT%d: placement %v for 3 apps", level, place)
+		}
 	}
 }
 

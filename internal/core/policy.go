@@ -46,7 +46,8 @@ type PolicyOptions struct {
 	// Extract converts PMU samples to category fractions. Defaults to
 	// ThreeCategoryFractions.
 	Extract Extractor
-	// Matcher selects the pair-selection algorithm. Defaults to Blossom.
+	// Matcher selects the pair-selection algorithm at SMT2. Defaults to
+	// Blossom.
 	Matcher Matcher
 	// DisableInversion skips the model inversion and uses the measured
 	// SMT fractions directly as ST estimates — an ablation quantifying
@@ -59,25 +60,20 @@ type PolicyOptions struct {
 	// the averaging the long hardware quantum provides (DESIGN.md §2).
 	// Zero selects the default (0.5); negative disables smoothing.
 	Smoothing float64
-	// Hysteresis keeps the previous pairing unless the newly matched
-	// pairing improves the predicted total degradation by more than this
+	// Hysteresis keeps the previous co-runner groups unless the new
+	// groups improve the predicted total degradation by more than this
 	// relative fraction. It suppresses migration churn on measurement
 	// noise (same noise-compensation argument as Smoothing). Zero selects
 	// the default (0.01); negative disables hysteresis.
 	Hysteresis float64
 	// Inversion tunes the inversion solver; zero value uses defaults.
 	Inversion InversionOptions
-	// Grouping tunes the set-partition solver used when the machine runs
-	// more than two threads per core (internal/grouping); the zero value
-	// gives the production defaults (exact for small live sets, greedy +
-	// local search beyond).
+	// Grouping tunes the set-partition solver used at every SMT level but
+	// two (internal/grouping); the zero value gives the production
+	// defaults (exact for small live sets, greedy + local search beyond).
+	// Its solo cost prices an application running alone at every level,
+	// the idle-slot edges of the SMT2 matching included.
 	Grouping grouping.Options
-	// ForceGrouping routes Step 3 through the grouping subsystem even at
-	// SMT2, where the policy normally keeps its original blossom-matching
-	// path. The two agree by construction (grouping delegates to the same
-	// matcher at level 2); the option exists for differential tests and
-	// solver ablations.
-	ForceGrouping bool
 	// Cache configures the interference-prediction memo layer
 	// (internal/predcache) behind the policy's Invert and PairDegradation
 	// evaluations. The zero value enables exact-key caching, which is
@@ -92,7 +88,8 @@ type PolicyOptions struct {
 // quantum it estimates each application's ST behaviour by inverting the
 // interference model on the previous quantum's PMU samples, predicts the
 // degradation of every candidate pair with the forward model, and solves a
-// minimum-weight perfect matching to pick the most synergistic pairing.
+// minimum-weight perfect matching to pick the most synergistic pairing (a
+// minimum-cost set partition above two threads per core).
 //
 // A Policy is read-mostly after construction; every mutable decision-time
 // structure lives in an Arena (see arena.go). Place serves the classic
@@ -201,59 +198,37 @@ func (p *Policy) Place(st *machine.QuantumState) machine.Placement {
 
 // PlaceR is the reentrant placement decision: all mutable state lives in
 // the caller's arena, so any number of goroutines may call PlaceR on one
-// policy concurrently as long as each holds its own Arena. At SMT2 it runs
-// the paper's pipeline — pairwise inversion, pair-degradation prediction,
-// blossom matching; above SMT2 (or under ForceGrouping) Step 3 becomes the
-// weighted set-partition of the follow-up policies, solved by
-// internal/grouping over the same pairwise degradation matrix.
+// policy concurrently as long as each holds its own Arena. It runs the
+// paper's three-step pipeline at every SMT level: invert the model on each
+// core's previous co-runner group (Step 1), predict every pair's
+// degradation (Step 2), and choose the co-runner groups (Step 3) — blossom
+// matching at SMT2, the weighted set partition of the follow-up policies
+// at every other level (grouped.go).
 func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
-	// Any level other than 2 routes through grouping: above 2 it solves
-	// the set partition, and at 1 it degenerates to forced singletons
-	// (the pairwise matcher could illegally co-locate two apps there).
-	if level := st.ThreadsPerCore(); level != 2 || p.opt.ForceGrouping {
-		return p.placeGrouped(a, st, level)
-	}
 	if st.Samples == nil || st.Prev == nil {
 		return arrivalOrderPlacement(st.NumApps, st.NumCores)
 	}
+	n, level := st.NumApps, st.ThreadsPerCore()
+	solo := p.opt.Grouping.ResolvedSoloCost()
 
-	n := st.NumApps
-	// Step 1: estimate each application's ST category vector. The pairing
-	// view is precomputed once per quantum instead of an O(n) CoMate scan
-	// per application, the estimate matrix is double-buffered across
-	// quanta, and inversions are memoized (internal/predcache): a cache
-	// hit implies bit-identical inputs, so the copied result is
-	// bit-identical to a fresh inversion.
-	a.mates = st.Prev.CoMates(a.mates)
-	est := a.newEstMatrix(n, p.model.K())
-	for i := 0; i < n; i++ {
-		mate := -1
-		if i < len(a.mates) {
-			mate = a.mates[i]
-		}
-		if !p.opt.DisableInversion && mate >= 0 && mate < i {
-			continue // filled as the co-runner of an earlier index
-		}
-		fi := p.opt.Extract(st.Samples[i], st.DispatchWidth)
-		if mate < 0 || p.opt.DisableInversion {
-			// Running alone, its measurements are ST already; or the
-			// inversion ablation is active.
-			copy(est[i], fi)
-			normalize(est[i])
-			continue
-		}
-		fj := p.opt.Extract(st.Samples[mate], st.DispatchWidth)
-		ci, cj, _ := a.memo.Invert(fi, fj, p.invertFn)
-		copy(est[i], ci)
-		copy(est[mate], cj)
-	}
+	// Step 1: estimate each application's ST category vector. The estimate
+	// matrix is double-buffered across quanta and inversions are memoized
+	// (internal/predcache): a cache hit implies bit-identical inputs, so
+	// the copied result is bit-identical to a fresh inversion.
+	a.prevGroups = st.Prev.PairsOf(st.NumCores, a.prevGroups)
+	prev := a.prevGroups
+	est := p.estimate(a, st, prev)
 	p.smoothAndRemember(a, st, est)
 
-	// Step 2: predict the degradation of every candidate pair; pad with
-	// virtual idle applications so the matching is always perfect. A real
-	// application paired with an idle slot runs at ST speed (cost 1). The
-	// matrix is reused across quanta and predictions are memoized.
-	total := st.NumCores * 2
+	// Step 2: predict the degradation of every candidate pair. At SMT2 the
+	// matrix is padded with virtual idle slots to 2·NumCores vertices so
+	// the matching is always perfect: a real application paired with an
+	// idle slot runs alone (the solo cost), two idle slots cost nothing.
+	// The matrix is reused across quanta and predictions are memoized.
+	total := n
+	if level == 2 {
+		total = 2 * st.NumCores
+	}
 	w := a.wMatrix(total)
 	for i := 0; i < total; i++ {
 		for j := i + 1; j < total; j++ {
@@ -262,9 +237,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 			case i < n && j < n:
 				cost = a.memo.Pair(est[i], est[j], p.pairFn)
 			case i < n || j < n:
-				cost = 1 // real app running alone
-			default:
-				cost = 0 // empty core
+				cost = solo
 			}
 			if math.IsNaN(cost) || math.IsInf(cost, 0) {
 				cost = 1e6
@@ -273,41 +246,34 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		}
 	}
 
-	// Step 3: select the most synergistic pairing.
-	mate, err := p.match(a, w)
+	// Step 3: select the most synergistic co-runner groups.
+	groups, cost, err := p.group(a, w, n, st.NumCores, level, solo)
 	if err != nil {
-		// Matching cannot fail on a finite complete graph; if it somehow
-		// does, keep the previous placement rather than crash the
-		// manager (only if every app already has a core — under dynamic
-		// occupancy a fresh arrival does not).
-		if fullyPlaced(st.Prev, st.NumCores) {
+		// Neither solver can fail on a validated live set; if one somehow
+		// does, keep the previous placement rather than crash the manager
+		// (only if every app already has a core — under dynamic occupancy
+		// a fresh arrival does not).
+		if fullyPlaced(st.Prev, n, st.NumCores) {
 			return st.Prev.Clone()
 		}
 		return arrivalOrderPlacement(n, st.NumCores)
 	}
 
-	// Hysteresis: only migrate when the predicted gain is material.
-	if p.opt.Hysteresis > 0 && fullyPlaced(st.Prev, st.NumCores) {
-		prevCost, ok := pairingCost(w, a.mates, n)
-		if ok {
-			newCost := 0.0
-			for i, m := range mate {
-				if m > i {
-					newCost += w[i][m]
-				}
-			}
-			if prevCost-newCost < p.opt.Hysteresis*prevCost {
-				return st.Prev.Clone()
-			}
+	// Hysteresis: only migrate when the predicted gain is material,
+	// pricing the previous grouping under the same matrix and solo cost.
+	if p.opt.Hysteresis > 0 && fullyPlaced(st.Prev, n, st.NumCores) {
+		prevCost := grouping.PartitionCost(w, prev, solo)
+		if prevCost-cost < p.opt.Hysteresis*prevCost {
+			return st.Prev.Clone()
 		}
 	}
 
-	return placePairs(mate, n, st.NumCores, st.Prev)
+	return placeGroups(groups, n, st.NumCores, st.Prev)
 }
 
 // smoothAndRemember applies the identity-aware exponential smoothing to the
 // fresh ST estimates and records them (with their stable identities) in the
-// arena for the next quantum. Shared by the pairwise and grouped paths.
+// arena for the next quantum.
 func (p *Policy) smoothAndRemember(a *Arena, st *machine.QuantumState, est [][]float64) {
 	if s := p.opt.Smoothing; s > 0 && a.lastST != nil {
 		for i := range est {
@@ -337,36 +303,15 @@ func appID(st *machine.QuantumState, i int) int {
 	return i
 }
 
-// fullyPlaced reports whether every application in p has a real core — i.e.
-// the placement is reusable as-is for the next quantum.
-func fullyPlaced(p machine.Placement, numCores int) bool {
+// fullyPlaced reports whether p gives each of the numApps applications a
+// real core — i.e. the placement is reusable as-is for the next quantum.
+func fullyPlaced(p machine.Placement, numApps, numCores int) bool {
 	for _, c := range p {
 		if c < 0 || c >= numCores {
 			return false
 		}
 	}
-	return len(p) > 0
-}
-
-// pairingCost evaluates a placement's total cost under the current weight
-// matrix (including the implicit idle partners of solo apps), given the
-// placement's precomputed pairing view. ok is false when the placement is
-// unusable.
-func pairingCost(w [][]float64, mates []int, n int) (float64, bool) {
-	if len(mates) < n {
-		return 0, false
-	}
-	cost := 0.0
-	for i := 0; i < n; i++ {
-		j := mates[i]
-		switch {
-		case j < 0:
-			cost += 1 // solo app runs at ST speed
-		case j > i:
-			cost += w[i][j]
-		}
-	}
-	return cost, true
+	return numApps > 0 && len(p) == numApps
 }
 
 // match dispatches to the configured matcher, accruing the solver time to
@@ -383,10 +328,10 @@ func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
 	case MatcherGreedy:
 		return greedyMatch(w), nil
 	default:
-		// Odd live-app counts are handled before matching ever runs: Place
-		// pads the weight matrix to NumCores*2 vertices with virtual idle
-		// slots (cost 1 against real apps), so this graph is always even
-		// and one app can pair with an idle slot to run solo.
+		// Odd live-app counts are handled before matching ever runs:
+		// PlaceR pads the weight matrix to NumCores*2 vertices with virtual
+		// idle slots (the solo cost against real apps), so this graph is
+		// always even and one app can pair with an idle slot to run solo.
 		// MinWeightMatching additionally tolerates odd matrices (zero-
 		// weight phantom vertex) for callers that skip the padding.
 		// The whole matching is memoized by the matrix's bit pattern:
@@ -435,75 +380,4 @@ func arrivalOrderPlacement(numApps, numCores int) machine.Placement {
 		p[i] = i % numCores
 	}
 	return p
-}
-
-// placePairs maps matched pairs onto cores, preferring each pair's previous
-// core to minimise migrations (a pair that stays put keeps its pipeline
-// state).
-func placePairs(mate []int, numApps, numCores int, prev machine.Placement) machine.Placement {
-	place := make(machine.Placement, numApps)
-	for i := range place {
-		place[i] = -1
-	}
-	usedCore := make([]bool, numCores)
-
-	type pair struct{ a, b int } // b == -1 for a solo app
-	var pairs []pair
-	for i, m := range mate {
-		if i >= numApps {
-			continue
-		}
-		switch {
-		case m >= numApps || m < 0:
-			pairs = append(pairs, pair{i, -1})
-		case m > i:
-			pairs = append(pairs, pair{i, m})
-		}
-	}
-
-	// First pass: pairs that can stay on a previous core of one member.
-	assigned := make([]bool, len(pairs))
-	for pi, pr := range pairs {
-		for _, member := range []int{pr.a, pr.b} {
-			if member < 0 || member >= len(prev) {
-				continue
-			}
-			c := prev[member]
-			if c >= 0 && c < numCores && !usedCore[c] {
-				place[pr.a] = c
-				if pr.b >= 0 {
-					place[pr.b] = c
-				}
-				usedCore[c] = true
-				assigned[pi] = true
-				break
-			}
-		}
-	}
-	// Second pass: remaining pairs take any free core.
-	next := 0
-	for pi, pr := range pairs {
-		if assigned[pi] {
-			continue
-		}
-		for next < numCores && usedCore[next] {
-			next++
-		}
-		if next >= numCores {
-			break // cannot happen: pairs <= cores
-		}
-		place[pr.a] = next
-		if pr.b >= 0 {
-			place[pr.b] = next
-		}
-		usedCore[next] = true
-	}
-	// Defensive: any unplaced app (impossible in normal operation) goes to
-	// core 0's first free slot.
-	for i := range place {
-		if place[i] < 0 {
-			place[i] = 0
-		}
-	}
-	return place
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"synpa/internal/machine"
@@ -96,11 +97,11 @@ func TestPlacePairsComplementaryApps(t *testing.T) {
 }
 
 func TestPlacePairsKeepsUnchangedPairingInPlace(t *testing.T) {
-	// When the matching reproduces the previous pairing, placePairs must
+	// When the matching reproduces the previous pairing, placeGroups must
 	// not migrate anyone: pairs stay on their previous cores.
 	prev := machine.Placement{0, 0, 1, 1}
-	mate := []int{1, 0, 3, 2} // identical pairing
-	place := placePairs(mate, 4, 2, prev)
+	groups := [][]int{{0, 1}, {2, 3}} // identical pairing
+	place := placeGroups(groups, 4, 2, prev)
 	for i := range prev {
 		if place[i] != prev[i] {
 			t.Fatalf("unnecessary migration: %v -> %v", prev, place)
@@ -112,8 +113,8 @@ func TestPlacePairsReassignsChangedPairs(t *testing.T) {
 	// Swapped partners: every pair should land on a core one of its
 	// members occupied before, with no core hosting two pairs.
 	prev := machine.Placement{0, 0, 1, 1}
-	mate := []int{3, 2, 1, 0} // pairs (0,3), (1,2)
-	place := placePairs(mate, 4, 2, prev)
+	groups := [][]int{{0, 3}, {1, 2}}
+	place := placeGroups(groups, 4, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +124,16 @@ func TestPlacePairsReassignsChangedPairs(t *testing.T) {
 }
 
 func TestPlacePairsHandlesSoloAndEmpty(t *testing.T) {
-	// 3 real apps + virtual idles on 2 cores: mate pairs app 2 with a
-	// virtual idle slot (index >= numApps).
+	// 3 real apps on 2 cores: the SMT2 matching pairs app 2 with a virtual
+	// idle slot (index >= numApps), which matchedGroups turns into a solo
+	// group.
 	prev := machine.Placement{0, 0, 1}
 	mate := []int{1, 0, 3, 2} // (0,1) real pair; app 2 with virtual 3
-	place := placePairs(mate, 3, 2, prev)
+	groups := (&Arena{}).matchedGroups(mate, 3)
+	if !reflect.DeepEqual(groups, [][]int{{0, 1}, {2}}) {
+		t.Fatalf("matchedGroups(%v) = %v", mate, groups)
+	}
+	place := placeGroups(groups, 3, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func (s *Suite) AblationInversion() (*Table, error) {
 // pair combinations with SYNPA's three equations is ~40 % cheaper than with
 // the five-equation IBM-style model, and the ten-category model is costlier
 // still. Times are measured for a full all-pairs estimation sweep over n
-// applications.
+// applications, each arity's the fastest of several interleaved rounds.
 func (s *Suite) OverheadModelEquations() (*Table, error) {
 	t := &Table{
 		Title:  "Overhead (§II): all-pairs estimation cost by model arity (n=8 apps)",
@@ -235,15 +235,26 @@ func (s *Suite) OverheadModelEquations() (*Table, error) {
 		_ = sink
 		return float64(time.Since(start).Nanoseconds()) / iters
 	}
-	base := 0.0
-	for _, k := range []int{3, 5, 10} {
-		m, vecs := mk(k)
-		ns := timeAllPairs(m, vecs)
-		if k == 3 {
-			base = ns
+	// Each arity's cost is the minimum over interleaved rounds, so a burst
+	// of host noise during one sweep cannot invert the ordering.
+	const rounds = 7
+	arities := []int{3, 5, 10}
+	models := make([]*core.Model, len(arities))
+	vecs := make([][][]float64, len(arities))
+	for ai, k := range arities {
+		models[ai], vecs[ai] = mk(k)
+	}
+	best := make([]float64, len(arities))
+	for r := 0; r < rounds; r++ {
+		for ai := range arities {
+			if ns := timeAllPairs(models[ai], vecs[ai]); r == 0 || ns < best[ai] {
+				best[ai] = ns
+			}
 		}
+	}
+	for ai, k := range arities {
 		label := map[int]string{3: "SYNPA (3 categories)", 5: "IBM-style (5 equations)", 10: "preliminary (10 categories)"}[k]
-		t.AddRow(label, fmt.Sprint(k), fmt.Sprintf("%.0f", ns), fmt.Sprintf("%.2fx", ns/base))
+		t.AddRow(label, fmt.Sprint(k), fmt.Sprintf("%.0f", best[ai]), fmt.Sprintf("%.2fx", best[ai]/best[0]))
 	}
 	t.Notes = append(t.Notes, "paper claim: 3 equations vs 5 equations -> ~40% lower estimation overhead")
 	return t, nil

@@ -18,9 +18,10 @@
 //	cost(g) = Σ_{i<j ∈ g} w[i][j] otherwise
 //
 // and a partition costs the sum over its groups. With L = 2 this is exactly
-// the objective of the blossom matcher on the idle-padded graph the SYNPA
-// policy builds, so Partition delegates to it there and the two agree by
-// construction (and by the differential tests).
+// the objective of minimum-weight perfect matching on the idle-padded
+// graph, so Partition delegates to the blossom matcher there. The SYNPA
+// policy builds that padded graph itself at SMT2 and runs its own memoized
+// matcher on it; it calls Partition at every other level.
 //
 // Solvers. Two deterministic solvers sit behind Partition:
 //

@@ -111,16 +111,25 @@ func (p Placement) Validate(numCores, threadsPerCore int) error {
 	return nil
 }
 
-// PairsOf returns, for each core, the app indices placed on it — pairs at
-// SMT2, groups of up to the SMT level in general.
-func (p Placement) PairsOf(numCores int) [][]int {
-	out := make([][]int, numCores)
+// PairsOf returns, for each core, the app indices placed on it in
+// ascending order — pairs at SMT2, groups of up to the SMT level in
+// general. dst's rows are reused when it has them, so a caller that keeps
+// the result allocates nothing in steady state.
+func (p Placement) PairsOf(numCores int, dst [][]int) [][]int {
+	dst = dst[:cap(dst)]
+	for len(dst) < numCores {
+		dst = append(dst, nil)
+	}
+	dst = dst[:numCores]
+	for c := range dst {
+		dst[c] = dst[c][:0]
+	}
 	for app, core := range p {
 		if core >= 0 && core < numCores {
-			out[core] = append(out[core], app)
+			dst[core] = append(dst[core], app)
 		}
 	}
-	return out
+	return dst
 }
 
 // CoMate returns the index of the app sharing a core with app i, or -1.

@@ -89,7 +89,7 @@ func TestPlacementValidate(t *testing.T) {
 
 func TestPlacementHelpers(t *testing.T) {
 	p := Placement{0, 1, 0, 1}
-	pairs := p.PairsOf(2)
+	pairs := p.PairsOf(2, nil)
 	if len(pairs[0]) != 2 || pairs[0][0] != 0 || pairs[0][1] != 2 {
 		t.Fatalf("PairsOf core0 = %v", pairs[0])
 	}

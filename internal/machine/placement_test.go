@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -45,7 +46,7 @@ func TestPairsOfPartialOccupancy(t *testing.T) {
 	// Three apps on four cores: a pair on core 1, a solo on core 3,
 	// cores 0 and 2 empty.
 	p := Placement{1, 3, 1}
-	pairs := p.PairsOf(4)
+	pairs := p.PairsOf(4, nil)
 	if len(pairs) != 4 {
 		t.Fatalf("PairsOf returned %d cores", len(pairs))
 	}
@@ -58,11 +59,16 @@ func TestPairsOfPartialOccupancy(t *testing.T) {
 	if !reflect.DeepEqual(pairs[3], []int{1}) {
 		t.Fatalf("core 3 = %v, want [1]", pairs[3])
 	}
-	// Unplaced entries (a dynamic Prev view) are skipped, not crashed on.
+	// Unplaced entries (a dynamic Prev view) are skipped, not crashed on;
+	// the reused rows of the previous result are cleared.
 	withUnplaced := Placement{Unplaced, 2, Unplaced}
-	pairs = withUnplaced.PairsOf(4)
-	if !reflect.DeepEqual(pairs[2], []int{1}) || len(pairs[0]) != 0 {
+	pairs = withUnplaced.PairsOf(4, pairs)
+	if got := fmt.Sprint(pairs); got != "[[] [] [1] []]" {
 		t.Fatalf("unplaced-view pairs = %v", pairs)
+	}
+	// A larger machine grows the reused result.
+	if pairs = p.PairsOf(6, pairs); len(pairs) != 6 || !reflect.DeepEqual(pairs[1], []int{0, 2}) {
+		t.Fatalf("grown pairs = %v", pairs)
 	}
 }
 

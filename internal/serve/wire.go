@@ -229,15 +229,16 @@ func PlaceOne(p *core.Policy, a *core.Arena, q *PlaceRequest) (*PlaceResponse, e
 
 // degradations predicts each application's slowdown under the decided
 // placement from the arena's fresh ST estimates: 1.0 for a solo app, the
-// forward model against the co-runner (mean co-runner vector above SMT2 —
-// the grouped path's own idiom) otherwise. Returns nil for cold decisions
+// forward model against the co-runner (against the mean co-runner vector
+// on a core holding more than two — the aggregate PlaceR's Step 1 inverts
+// against) otherwise. Returns nil for cold decisions
 // (no model-driven estimates).
 func degradations(m *core.Model, est [][]float64, place machine.Placement, st *machine.QuantumState) []float64 {
 	n := st.NumApps
 	if est == nil || len(est) < n {
 		return nil
 	}
-	groups := place.PairsOf(st.NumCores)
+	groups := place.PairsOf(st.NumCores, nil)
 	out := make([]float64, n)
 	mean := make([]float64, m.K())
 	for c := range groups {
