@@ -98,7 +98,7 @@ func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo flo
 		}
 		return res.Groups, res.Cost, nil
 	}
-	mate, err := p.match(a, w)
+	mate, err := p.match(a, w, n)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -17,7 +17,9 @@ type Matcher int
 
 const (
 	// MatcherBlossom uses Edmonds' Blossom minimum-weight perfect
-	// matching — the paper's choice [21].
+	// matching — the paper's choice [21] — behind an exact subset-DP fast
+	// path that answers small graphs with a unique optimum, with the
+	// groups blossom would return (matching.MinWeightPaddedMatching).
 	MatcherBlossom Matcher = iota
 	// MatcherBruteForce enumerates all pairings (the combinatorial
 	// explosion the paper avoids); kept for the overhead ablation.
@@ -314,11 +316,12 @@ func fullyPlaced(p machine.Placement, numApps, numCores int) bool {
 	return numApps > 0 && len(p) == numApps
 }
 
-// match dispatches to the configured matcher, accruing the solver time to
-// the perfstat matching phase when collection is on. The Blossom solver
-// runs through the arena's reusable workspace — identical matchings,
-// amortised solver memory.
-func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
+// match dispatches to the configured matcher on the idle-padded graph w,
+// whose first n vertices are the real applications, accruing the solver
+// time to the perfstat matching phase when collection is on. The default
+// solver runs through the arena's reusable workspace — identical
+// matchings, amortised solver memory.
+func (p *Policy) match(a *Arena, w [][]float64, n int) ([]int, error) {
 	t0 := perfstat.PhaseClock()
 	defer perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
 	switch p.opt.Matcher {
@@ -328,18 +331,17 @@ func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
 	case MatcherGreedy:
 		return greedyMatch(w), nil
 	default:
-		// Odd live-app counts are handled before matching ever runs:
 		// PlaceR pads the weight matrix to NumCores*2 vertices with virtual
-		// idle slots (the solo cost against real apps), so this graph is
-		// always even and one app can pair with an idle slot to run solo.
-		// MinWeightMatching additionally tolerates odd matrices (zero-
-		// weight phantom vertex) for callers that skip the padding.
-		// The whole matching is memoized by the matrix's bit pattern:
+		// idle slots (the solo cost against real apps), so one app can pair
+		// with an idle slot to run solo. MinWeightPaddedMatching solves that
+		// graph by exact subset DP when it is small and its optimum unique,
+		// and by blossom otherwise — the same grouping either way.
+		// The whole matching is memoized by the matrix's bit pattern and n:
 		// hysteresis holds co-runner sets (and with them the pair-memoized
 		// weight matrices) stable for long stretches, so steady state
-		// answers the O(n³) solve with a hash lookup.
-		return a.memo.Match(w, func(w [][]float64) ([]int, error) {
-			mate, _, err := a.mws.MinWeightMatching(w)
+		// answers the solve with a hash lookup.
+		return a.memo.Match(w, n, func(w [][]float64, n int) ([]int, error) {
+			mate, _, err := a.mws.MinWeightPaddedMatching(w, n)
 			return mate, err
 		})
 	}

@@ -19,9 +19,12 @@
 //
 // and a partition costs the sum over its groups. With L = 2 this is exactly
 // the objective of minimum-weight perfect matching on the idle-padded
-// graph, so Partition delegates to the blossom matcher there. The SYNPA
-// policy builds that padded graph itself at SMT2 and runs its own memoized
-// matcher on it; it calls Partition at every other level.
+// graph, so Partition builds that graph and solves it with
+// matching.MinWeightPaddedMatching: an exact subset DP over the padded
+// graph when it has at most ten vertices and a unique optimum, blossom
+// otherwise. The SYNPA policy builds the same padded graph itself at SMT2
+// and runs the same solver behind its matching memo; it calls Partition at
+// every other level.
 //
 // Solvers. Two deterministic solvers sit behind Partition:
 //
@@ -121,8 +124,9 @@ type Result struct {
 	// Cost is the partition cost under the canonical summation order
 	// (PartitionCost), independent of the solver that produced it.
 	Cost float64
-	// Solver names the algorithm that produced the partition: "blossom"
-	// (the L = 2 delegation), "exact" or "greedy".
+	// Solver names the algorithm that produced the partition: "matching"
+	// (the L = 2 route through matching.MinWeightPaddedMatching), "exact"
+	// or "greedy".
 	Solver string
 }
 
@@ -154,10 +158,10 @@ func Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error
 		}
 		return finish(w, groups, solo, "exact"), nil
 	case level == 2:
-		// Delegate to the blossom matcher the SYNPA policy already uses:
-		// minimum-weight perfect matching on the idle-padded graph is
-		// exactly this objective (see the package comment).
-		return solveBlossom(w, maxGroups, solo)
+		// Minimum-weight perfect matching on the idle-padded graph is
+		// exactly this objective (see the package comment); solve it with
+		// the matcher the SYNPA policy runs at SMT2.
+		return solveMatching(w, maxGroups, solo)
 	}
 
 	maxExact := opt.MaxExactN
@@ -250,11 +254,12 @@ func finish(w [][]float64, groups [][]int, soloCost float64, solver string) *Res
 	return &Result{Groups: groups, Cost: PartitionCost(w, groups, soloCost), Solver: solver}
 }
 
-// solveBlossom handles level == 2 by minimum-weight perfect matching on the
-// idle-padded graph: 2·maxGroups vertices, real-real edges cost w, a real
-// app paired with an idle slot costs soloCost, idle-idle pairs cost 0 —
-// the construction of core.Policy's Step 2, so the two agree edge for edge.
-func solveBlossom(w [][]float64, maxGroups int, soloCost float64) (*Result, error) {
+// solveMatching handles level == 2 by minimum-weight perfect matching on
+// the idle-padded graph: 2·maxGroups vertices, real-real edges cost w, a
+// real app paired with an idle slot costs soloCost, idle-idle pairs cost 0
+// — the construction of core.Policy's Step 2, solved by the same
+// matching.MinWeightPaddedMatching, so the two agree edge for edge.
+func solveMatching(w [][]float64, maxGroups int, soloCost float64) (*Result, error) {
 	n := len(w)
 	total := 2 * maxGroups
 	p := make([][]float64, total)
@@ -273,7 +278,7 @@ func solveBlossom(w [][]float64, maxGroups int, soloCost float64) (*Result, erro
 			p[i][j], p[j][i] = cost, cost
 		}
 	}
-	mate, _, err := matching.MinWeightPerfectMatching(p)
+	mate, _, err := matching.MinWeightPaddedMatching(p, n)
 	if err != nil {
 		return nil, err
 	}
@@ -287,5 +292,5 @@ func solveBlossom(w [][]float64, maxGroups int, soloCost float64) (*Result, erro
 			groups = append(groups, []int{i, m})
 		}
 	}
-	return finish(w, groups, soloCost, "blossom"), nil
+	return finish(w, groups, soloCost, "matching"), nil
 }

@@ -143,8 +143,9 @@ func TestGreedyVsExact(t *testing.T) {
 }
 
 // TestExactMatchesBlossomAtLevelTwo cross-validates the exact subset DP
-// against the blossom matcher on the L = 2 objective: identical optima
-// (within the blossom's 1e-6 weight quantisation).
+// against the L = 2 matching route (the padded-graph DP up to ten
+// vertices, blossom beyond) on the L = 2 objective: identical optima
+// (within the matcher's 1e-6 weight quantisation).
 func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 	const tol = 1e-4
 	for n := 2; n <= 12; n++ {
@@ -162,8 +163,8 @@ func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blossom.Solver != "blossom" {
-				t.Fatalf("L=2 auto solver = %q, want blossom delegation", blossom.Solver)
+			if blossom.Solver != "matching" {
+				t.Fatalf("L=2 auto solver = %q, want the padded matching", blossom.Solver)
 			}
 			checkPartition(t, exact, n, maxGroups, 2, w)
 			checkPartition(t, blossom, n, maxGroups, 2, w)
@@ -175,10 +176,10 @@ func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 	}
 }
 
-// TestBlossomDelegationMatchesRawMatcher pins the delegation construction:
-// the groups Partition returns at L = 2 are exactly the pairs of a
+// TestBlossomDelegationMatchesRawMatcher pins the L = 2 construction: the
+// groups Partition returns are exactly the pairs of blossom's
 // minimum-weight perfect matching on the idle-padded graph the SYNPA policy
-// builds.
+// builds (eight vertices, so the padded-graph DP answers).
 func TestBlossomDelegationMatchesRawMatcher(t *testing.T) {
 	n, cores := 7, 4
 	w := randMatrix(n, 5, 3)

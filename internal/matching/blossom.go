@@ -21,11 +21,23 @@
 // strictly positive, every maximum-weight matching is perfect, and
 // maximising Σ(W−w) minimises Σw over perfect matchings.
 //
-// A brute-force exact matcher (subset dynamic program, O(2ⁿ·n)) is provided
-// for cross-validation in tests and for the matcher-overhead ablation bench.
-// Above SMT2, where co-schedules grow beyond pairs, the matching step
-// generalises to the weighted set-partition problem of internal/grouping,
-// which delegates back to this package at level 2.
+// SYNPA's Step 3 graph is idle-padded: its first n vertices are
+// applications, the rest interchangeable idle slots, so a matching is a
+// grouping of the applications into pairs and solos. On that graph the
+// policy calls MinWeightPaddedMatching, which first runs an exact subset
+// dynamic program over the same integer weights blossom uses, with each
+// application matched to the lowest free idle slot. Up to ten vertices
+// (four or five SMT2 cores) the DP is several times faster than blossom.
+// Its tie rule keeps outputs bit-identical: it answers only when the
+// optimum grouping is unique, which blossom, being exact, must then return
+// too; on a tie, a larger graph or a malformed matrix it defers to blossom.
+//
+// BruteForceMinWeightPerfect, a subset dynamic program over plain float
+// weights (O(2ⁿ·n)), is the cross-validation oracle of the tests and the
+// exhaustive baseline of the matcher ablation. Above SMT2, where
+// co-schedules grow beyond pairs, the matching step generalises to the
+// weighted set-partition problem of internal/grouping, which comes back to
+// MinWeightPaddedMatching at level 2.
 package matching
 
 import (
@@ -44,6 +56,9 @@ var (
 	ErrNotSquare    = errors.New("matching: weight matrix must be square")
 	ErrNotSymmetric = errors.New("matching: weight matrix must be symmetric")
 	ErrBadWeight    = errors.New("matching: weights must be finite")
+	// ErrTooLarge is returned by BruteForceMinWeightPerfect for graphs
+	// whose subset tables would not fit in memory.
+	ErrTooLarge = fmt.Errorf("matching: brute force limited to %d vertices", maxBruteForceVertices)
 )
 
 // weightScale converts float64 edge weights into the integer domain the
@@ -491,10 +506,11 @@ func (b *blossomSolver) matchingRound() bool {
 // serving path (core.Arena) carries one of these per request context.
 type Workspace struct {
 	b      *blossomSolver
-	iw     [][]int64   // integer-weight scratch for the complement transform
-	iwBack []int64     // backing array of iw
-	padded [][]float64 // odd-count phantom-vertex padding scratch
-	padBck []float64   // backing array of padded
+	iw     [][]int64     // integer-weight scratch for the complement transform
+	iwBack []int64       // backing array of iw
+	padded [][]float64   // odd-count phantom-vertex padding scratch
+	padBck []float64     // backing array of padded
+	dp     *paddedTables // MinWeightPaddedMatching's subset-DP tables
 }
 
 // solver returns an initialised solver for an n-vertex run, recycling the

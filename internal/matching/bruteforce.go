@@ -2,13 +2,17 @@ package matching
 
 import "math"
 
+// maxBruteForceVertices bounds BruteForceMinWeightPerfect's subset tables.
+const maxBruteForceVertices = 24
+
 // BruteForceMinWeightPerfect computes the exact minimum-weight perfect
 // matching by dynamic programming over vertex subsets (O(2ⁿ·n)). It is the
 // verification oracle for the Blossom implementation and the baseline of the
 // matcher-overhead ablation (DESIGN.md §5.3): enumerating combinations is
 // what the paper warns "grows quickly with the number of cores".
 //
-// It supports up to 30 vertices, far beyond any practical exhaustive use.
+// Its tables take 12 bytes per vertex subset, so it refuses graphs above
+// maxBruteForceVertices with ErrTooLarge (2²⁴ subsets, 192 MiB).
 func BruteForceMinWeightPerfect(w [][]float64) (mate []int, total float64, err error) {
 	n := len(w)
 	if n == 0 {
@@ -17,8 +21,8 @@ func BruteForceMinWeightPerfect(w [][]float64) (mate []int, total float64, err e
 	if n%2 != 0 {
 		return nil, 0, ErrOddVertices
 	}
-	if n > 30 {
-		return nil, 0, ErrNotSquare // guard: table would not fit in memory
+	if n > maxBruteForceVertices {
+		return nil, 0, ErrTooLarge
 	}
 	for i := range w {
 		if len(w[i]) != n {

@@ -208,6 +208,10 @@ func TestBruteForceErrors(t *testing.T) {
 	if m, tot, err := BruteForceMinWeightPerfect(nil); err != nil || m != nil || tot != 0 {
 		t.Fatal("empty should succeed with nil")
 	}
+	// Rejected before any table is built: the rows are never read.
+	if _, _, err := BruteForceMinWeightPerfect(make([][]float64, maxBruteForceVertices+2)); err != ErrTooLarge {
+		t.Fatalf("too large: %v", err)
+	}
 }
 
 func TestPairs(t *testing.T) {

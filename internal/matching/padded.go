@@ -1,0 +1,167 @@
+package matching
+
+import (
+	"math"
+	"math/bits"
+)
+
+// maxPaddedVertices is the largest idle-padded graph MinWeightPaddedMatching
+// solves by subset dynamic program; larger graphs go straight to blossom.
+// BenchmarkPaddedMatching sets it: on a 2-CPU x86-64 host the DP ran
+// 3.4–5.6× faster than blossom at 8 vertices and 2.1–3.5× at 10, but at
+// 12 its 2ⁿ table made it about 15% slower than blossom on a full machine.
+const maxPaddedVertices = 10
+
+// paddedTables is the subset DP's working memory, one cell per vertex mask.
+type paddedTables struct {
+	gain   [1 << maxPaddedVertices]int64 // best transformed weight reaching the mask; -1 unreached
+	choice [1 << maxPaddedVertices]uint8 // last pair taken, packed i<<4 | j
+	tied   [1 << maxPaddedVertices]bool  // more than one grouping reaches the mask at gain
+}
+
+// MinWeightPaddedMatching is MinWeightMatching on the idle-padded graph of
+// SYNPA's Step 3: vertices 0..n−1 are applications and the remaining
+// len(w)−n are idle slots, each application prices every idle slot alike
+// and every idle–idle edge costs the same. Such a matching is one grouping
+// of the applications into pairs and solos.
+//
+// Up to maxPaddedVertices vertices it first runs a subset dynamic program
+// over the same complement-transformed integer weights blossom uses. An
+// application matched to an idle slot always takes the lowest free one, so
+// each DP path is one distinct grouping, and exact integer ties are
+// tracked at every mask. The DP answers only when the optimum grouping is
+// unique; blossom, being exact over those integers, would return that same
+// grouping (its idle-slot numbering may differ). On a tie, a larger graph,
+// idle slots that are not interchangeable, or a malformed matrix it defers
+// to MinWeightMatching, which also reports any error.
+func (ws *Workspace) MinWeightPaddedMatching(w [][]float64, n int) (mate []int, total float64, err error) {
+	if mate, ok := ws.paddedDP(w, n); ok {
+		for i, m := range mate {
+			if i < m {
+				total += w[i][m]
+			}
+		}
+		return mate, total, nil
+	}
+	return ws.MinWeightMatching(w)
+}
+
+// MinWeightPaddedMatching is the allocating form of
+// Workspace.MinWeightPaddedMatching.
+func MinWeightPaddedMatching(w [][]float64, n int) (mate []int, total float64, err error) {
+	return (*Workspace)(nil).MinWeightPaddedMatching(w, n)
+}
+
+// paddedDP returns the unique optimum of the idle-padded graph, or false
+// when the caller must defer to blossom.
+func (ws *Workspace) paddedDP(w [][]float64, n int) ([]int, bool) {
+	nv := len(w)
+	if nv == 0 || nv%2 != 0 || nv > maxPaddedVertices || n < 0 || n > nv {
+		return nil, false
+	}
+	// The checks of MinWeightPerfectMatching, with symmetry exact, and the
+	// same wMax over every off-diagonal cell.
+	var wMin, wMax float64 = math.Inf(1), math.Inf(-1)
+	for i := range w {
+		if len(w[i]) != nv {
+			return nil, false
+		}
+		for j, v := range w[i] {
+			if i == j {
+				continue
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) || v != w[j][i] {
+				return nil, false
+			}
+			if v < wMin {
+				wMin = v
+			}
+			if v > wMax {
+				wMax = v
+			}
+		}
+	}
+	// Five summed edges must stay far inside int64.
+	if (wMax-wMin)*weightScale > 1<<53 {
+		return nil, false
+	}
+	// Idle slots must be interchangeable for the lowest-free rule to cover
+	// every grouping.
+	for i := 0; i < nv; i++ {
+		for j := max(i+1, n+1); j < nv; j++ {
+			ref := w[i][n]
+			if i >= n {
+				ref = w[n][n+1]
+			}
+			if w[i][j] != ref {
+				return nil, false
+			}
+		}
+	}
+
+	var iw [maxPaddedVertices][maxPaddedVertices]int64
+	for i := 0; i < nv; i++ {
+		for j := i + 1; j < nv; j++ {
+			iw[i][j] = int64(math.Round((wMax-w[i][j])*weightScale)) + 1
+		}
+	}
+
+	t := ws.tables()
+	full := 1<<nv - 1
+	for s := 1; s <= full; s++ {
+		t.gain[s] = -1
+	}
+	t.gain[0], t.tied[0] = 0, false
+	for s := 0; s < full; s++ {
+		if t.gain[s] < 0 {
+			continue
+		}
+		i := bits.TrailingZeros(uint(^s))
+		if i >= n {
+			// Every application is placed: pair the idle slots in order.
+			t.relax(s, i, i+1, iw[i][i+1])
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			if s&(1<<j) == 0 {
+				t.relax(s, i, j, iw[i][j])
+			}
+		}
+		if k := n + bits.OnesCount(uint(s>>n)); k < nv {
+			t.relax(s, i, k, iw[i][k])
+		}
+	}
+	if t.tied[full] {
+		return nil, false
+	}
+	mate := make([]int, nv)
+	for s := full; s != 0; {
+		i, j := int(t.choice[s]>>4), int(t.choice[s]&0xf)
+		mate[i], mate[j] = j, i
+		s &^= 1<<i | 1<<j
+	}
+	return mate, true
+}
+
+// relax offers mask s extended by the pair (i, j) of transformed weight g.
+func (t *paddedTables) relax(s, i, j int, g int64) {
+	ns := s | 1<<i | 1<<j
+	switch g += t.gain[s]; {
+	case g > t.gain[ns]:
+		t.gain[ns], t.choice[ns], t.tied[ns] = g, uint8(i<<4|j), t.tied[s]
+	case g == t.gain[ns]:
+		t.tied[ns] = true
+	}
+}
+
+// tables returns the DP's working memory: the workspace's, or a fresh one
+// for a nil workspace.
+func (ws *Workspace) tables() *paddedTables {
+	if ws == nil {
+		return new(paddedTables)
+	}
+	if ws.dp == nil {
+		ws.dp = new(paddedTables)
+	}
+	return ws.dp
+}

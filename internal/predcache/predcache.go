@@ -194,12 +194,13 @@ func pairKey(dst []byte, a, b []float64) []byte {
 	return appendKey(dst, b)
 }
 
-// matchKey builds the key for a symmetric weight matrix: the vertex count
-// followed by the bit signature of the strict upper triangle (the matcher
-// reads nothing else — the diagonal is ignored and the lower triangle
-// mirrors the upper).
-func matchKey(dst []byte, w [][]float64) []byte {
+// matchKey builds the key for a symmetric weight matrix whose first n
+// vertices are real applications: the vertex count, n, and the bit
+// signature of the strict upper triangle (the matcher reads nothing else —
+// the diagonal is ignored and the lower triangle mirrors the upper).
+func matchKey(dst []byte, w [][]float64, n int) []byte {
 	dst = append(dst[:0], byte(len(w)))
+	dst = binary.AppendUvarint(dst, uint64(n))
 	for i := range w {
 		dst = appendKey(dst, w[i][i+1:])
 	}
@@ -212,8 +213,9 @@ type InvertFn func(a, b []float64) (ca, cb []float64, converged bool)
 // PairFn evaluates the pair function being memoized.
 type PairFn func(a, b []float64) float64
 
-// MatchFn evaluates the matching being memoized.
-type MatchFn func(w [][]float64) ([]int, error)
+// MatchFn evaluates the matching being memoized on the graph w whose first
+// n vertices are real applications.
+type MatchFn func(w [][]float64, n int) ([]int, error)
 
 type invertEntry struct {
 	a, b      []float64
@@ -283,18 +285,18 @@ func (h *Handle) Pair(a, b []float64, fn PairFn) float64 {
 	return v
 }
 
-// Match returns fn(w), memoized in the handle's private store whatever
+// Match returns fn(w, n), memoized in the handle's private store whatever
 // backs the other two: matchings are machine-local decisions keyed by
 // whole matrices, so sharing them would buy little and cost lock traffic.
 // The returned slice is a fresh copy owned by the caller. Errors are
 // passed through uncached (the policy's weight matrices are sanitized and
 // can never produce one).
-func (h *Handle) Match(w [][]float64, fn MatchFn) ([]int, error) {
+func (h *Handle) Match(w [][]float64, n int, fn MatchFn) ([]int, error) {
 	if h.disabled {
-		return fn(w)
+		return fn(w, n)
 	}
-	h.key = matchKey(h.key, w)
-	mate, _, err := h.mch.get(h.key, func() ([]int, error) { return fn(w) })
+	h.key = matchKey(h.key, w, n)
+	mate, _, err := h.mch.get(h.key, func() ([]int, error) { return fn(w, n) })
 	if err != nil {
 		return mate, err
 	}

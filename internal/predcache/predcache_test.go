@@ -81,11 +81,11 @@ func TestPairCacheHitsAndValues(t *testing.T) {
 		// Matchings are memoized too, and every answer is the caller's
 		// own copy.
 		solves := 0
-		match := func([][]float64) ([]int, error) { solves++; return []int{1, 0}, nil }
+		match := func([][]float64, int) ([]int, error) { solves++; return []int{1, 0}, nil }
 		w := [][]float64{{0, 0.5}, {0.5, 0}}
-		m1, _ := h.Match(w, match)
+		m1, _ := h.Match(w, 2, match)
 		m1[0] = 7
-		if m2, _ := h.Match(w, match); solves != 1 || m2[0] != 1 {
+		if m2, _ := h.Match(w, 2, match); solves != 1 || m2[0] != 1 {
 			t.Fatalf("match memo: %d solves, second answer %v", solves, m2)
 		}
 	})
@@ -258,4 +258,26 @@ func TestSharedShardStress(t *testing.T) {
 	if inv.Hits == 0 || pair.Hits == 0 {
 		t.Fatal("overlapping key set produced no hits")
 	}
+}
+
+// TestMatchKeyedByRealCount: the matcher's answer depends on how many of
+// the matrix's vertices are real applications, so one matrix under two
+// real counts is two memo entries, each with its own answer.
+func TestMatchKeyedByRealCount(t *testing.T) {
+	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
+		h := handle(Options{})
+		solves := 0
+		match := func(w [][]float64, n int) ([]int, error) { solves++; return []int{n}, nil }
+		w := [][]float64{{0, 1, 1, 0}, {1, 0, 1, 0}, {1, 1, 0, 0}, {0, 0, 0, 0}}
+		for round := 0; round < 2; round++ {
+			for _, n := range []int{3, 2} {
+				if m, _ := h.Match(w, n, match); len(m) != 1 || m[0] != n {
+					t.Fatalf("round %d: Match(w, %d) = %v, want [%d]", round, n, m, n)
+				}
+			}
+		}
+		if solves != 2 {
+			t.Fatalf("%d solves for two real counts over two rounds, want 2", solves)
+		}
+	})
 }
