@@ -128,52 +128,57 @@ func TestConcurrentPlaceRBitIdentical(t *testing.T) {
 			t.Fatalf("goroutine %d diverged from the serial reference", g)
 		}
 	}
+
+	// The shared cache is warm for every arena: a fresh arena replaying
+	// the workload finds each inversion the others stored, and still
+	// reproduces the reference.
+	a := p.NewArena()
+	if got := drivePlacements(func(st *machine.QuantumState) machine.Placement {
+		return p.PlaceR(a, st)
+	}, quanta, apps, cores); !reflect.DeepEqual(got, want) {
+		t.Fatal("fresh arena on the warm shared cache diverged from the serial reference")
+	}
+	if inv, _ := a.CacheStats(); inv.Misses != 0 || inv.Hits == 0 {
+		t.Fatalf("fresh arena on the warm shared cache: invert stats %+v, want hits and no misses", inv)
+	}
 }
 
-func TestInvertBatch(t *testing.T) {
+// TestArenaResetPoolReuse pins the pool contract: a Reset arena keeps its
+// memo but is bit-identical to a freshly allocated one.
+func TestArenaResetPoolReuse(t *testing.T) {
+	const quanta, apps, cores = 10, 8, 4
 	m := PaperCoefficients()
 	p := MustPolicy(m, PolicyOptions{})
+
+	run := func(a *Arena) []machine.Placement {
+		return drivePlacements(func(st *machine.QuantumState) machine.Placement {
+			return p.PlaceR(a, st)
+		}, quanta, apps, cores)
+	}
+
 	a := p.NewArena()
-	fi := ThreeCategoryFractions(sampleWith(10000, 4000, 500, 8000), 4)
-	fj := ThreeCategoryFractions(sampleWith(10000, 4000, 8000, 500), 4)
-
-	reqs := []InvertRequest{{fi, fj}, {fj, fi}, {fi, fj}}
-	res := p.InvertBatch(a, reqs)
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	ci, cj, conv := m.Invert(fi, fj, DefaultInversion())
-	if res[0].Converged != conv ||
-		!reflect.DeepEqual(res[0].CI, ci) || !reflect.DeepEqual(res[0].CJ, cj) {
-		t.Fatalf("batched inversion diverged from direct Invert:\n got %v %v\nwant %v %v",
-			res[0].CI, res[0].CJ, ci, cj)
-	}
-	if !reflect.DeepEqual(res[2].CI, res[0].CI) {
-		t.Fatal("duplicate request returned a different result")
-	}
-	inv, _ := a.CacheStats()
-	if inv.Misses != 2 || inv.Hits != 1 {
-		t.Fatalf("batch dedup broken: %+v, want 2 misses 1 hit", inv)
+	first := run(a)
+	if len(a.LastSTEstimates()) == 0 {
+		t.Fatal("run left no smoothing history — Reset has nothing to prove")
 	}
 
-	// Results are caller-owned copies, not cache-owned slices.
-	res[0].CI[0] = 42
-	again := p.InvertBatch(a, reqs[:1])
-	if again[0].CI[0] == 42 {
-		t.Fatal("mutating a batch result corrupted the cache")
+	// Reset must clear the cross-request state (smoothing history) while
+	// keeping the memo: the reused arena replays the exact reference
+	// stream, as if freshly allocated.
+	a.Reset()
+	if len(a.LastSTEstimates()) != 0 {
+		t.Fatal("Reset kept smoothing history")
+	}
+	inv0, _ := a.CacheStats()
+	if inv0.Hits+inv0.Misses == 0 {
+		t.Fatal("Reset dropped the memo — pooling would lose all warmth")
+	}
+	if second := run(a); !reflect.DeepEqual(second, first) {
+		t.Fatalf("pooled (Reset) arena diverged from its own fresh run:\n got %v\nwant %v", second, first)
 	}
 
-	// A batch through one arena warms the shared cache for every other.
-	ps := MustPolicy(m, PolicyOptions{})
-	ps.SetSharedCache(predcache.NewShared(predcache.Options{}, 4))
-	a1, a2 := ps.NewArena(), ps.NewArena()
-	ps.InvertBatch(a1, reqs)
-	ps.InvertBatch(a2, reqs[:1])
-	if inv2, _ := a2.CacheStats(); inv2.Hits != 1 || inv2.Misses != 0 {
-		t.Fatalf("shared cache not warmed coherently by batch: %+v", inv2)
-	}
-
-	if got := p.InvertBatch(a, nil); got != nil {
-		t.Fatalf("empty batch returned %v", got)
+	// And against a genuinely fresh arena, for the same stream.
+	if fresh := run(p.NewArena()); !reflect.DeepEqual(fresh, first) {
+		t.Fatalf("fresh arena diverged from pooled arena")
 	}
 }

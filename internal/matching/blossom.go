@@ -7,12 +7,10 @@
 // predicted slowdown sums. The paper solves it with Edmonds' Blossom
 // algorithm [21]; so does this package.
 //
-// Vertex counts need not be even: MinWeightPerfectMatching requires an even
-// count (a perfect matching cannot exist otherwise and it returns
-// ErrOddVertices), while MinWeightMatching accepts odd counts by padding the
-// graph with a single zero-weight phantom vertex, leaving exactly one real
-// vertex optimally unmatched — the shape dynamic (open-system) runs produce
-// when an odd number of applications is live.
+// Vertex counts must be even: a perfect matching cannot exist otherwise,
+// and MinWeightPerfectMatching returns ErrOddVertices. SYNPA's graph is
+// always even, whatever the number of live applications: the policy pads
+// it with idle slots to 2·NumCores vertices (see below).
 //
 // The core is an O(n³) maximum-weight general matching with dual variables
 // and blossom shrinking (the classic primal-dual formulation of Edmonds'
@@ -48,11 +46,9 @@ import (
 
 // Errors returned by the matchers.
 var (
-	// ErrOddVertices is returned by the perfect-matching entry points
-	// (MinWeightPerfectMatching, BruteForceMinWeightPerfect), which cannot
-	// match an odd vertex count; MinWeightMatching handles odd counts via
-	// a zero-weight phantom vertex instead of erroring.
-	ErrOddVertices  = errors.New("matching: perfect matching requires an even vertex count (use MinWeightMatching for odd counts)")
+	// ErrOddVertices is returned for an odd vertex count, which no perfect
+	// matching covers.
+	ErrOddVertices  = errors.New("matching: perfect matching requires an even vertex count")
 	ErrNotSquare    = errors.New("matching: weight matrix must be square")
 	ErrNotSymmetric = errors.New("matching: weight matrix must be symmetric")
 	ErrBadWeight    = errors.New("matching: weights must be finite")
@@ -508,8 +504,6 @@ type Workspace struct {
 	b      *blossomSolver
 	iw     [][]int64     // integer-weight scratch for the complement transform
 	iwBack []int64       // backing array of iw
-	padded [][]float64   // odd-count phantom-vertex padding scratch
-	padBck []float64     // backing array of padded
 	dp     *paddedTables // MinWeightPaddedMatching's subset-DP tables
 }
 
@@ -551,32 +545,6 @@ func (ws *Workspace) intMatrix(n int) [][]int64 {
 		iw[i] = back[i*n : (i+1)*n : (i+1)*n]
 	}
 	return iw
-}
-
-// floatMatrix returns an n×n float64 scratch matrix for the phantom-vertex
-// padding (contents unspecified; the caller overwrites every cell).
-func (ws *Workspace) floatMatrix(n int) [][]float64 {
-	if ws == nil {
-		m := make([][]float64, n)
-		back := make([]float64, n*n)
-		for i := range m {
-			m[i] = back[i*n : (i+1)*n : (i+1)*n]
-		}
-		return m
-	}
-	if cap(ws.padBck) < n*n {
-		ws.padBck = make([]float64, n*n)
-		ws.padded = nil
-	}
-	if cap(ws.padded) < n {
-		ws.padded = make([][]float64, n)
-	}
-	m := ws.padded[:n]
-	back := ws.padBck[:n*n]
-	for i := range m {
-		m[i] = back[i*n : (i+1)*n : (i+1)*n]
-	}
-	return m
 }
 
 // maxWeightMatching computes a maximum-weight matching of the complete graph
@@ -666,59 +634,4 @@ func (ws *Workspace) MinWeightPerfectMatching(w [][]float64) (mate []int, total 
 		}
 	}
 	return mate, total, nil
-}
-
-// MinWeightMatching generalises MinWeightPerfectMatching to odd vertex
-// counts: when len(w) is odd the graph is padded with a single zero-weight
-// phantom vertex, so exactly one real vertex ends up unmatched (mate[i] ==
-// -1) at no cost. The returned total sums real edges only.
-//
-// This is what the dynamic (open-system) SYNPA policy needs: with an odd
-// number of live applications, one of them must run solo on its core, and
-// the phantom pairing selects which one optimally.
-func MinWeightMatching(w [][]float64) (mate []int, total float64, err error) {
-	return (*Workspace)(nil).MinWeightMatching(w)
-}
-
-// MinWeightMatching is the workspace-reusing form of the package-level
-// function (see Workspace).
-func (ws *Workspace) MinWeightMatching(w [][]float64) (mate []int, total float64, err error) {
-	n := len(w)
-	if n%2 == 0 {
-		return ws.MinWeightPerfectMatching(w)
-	}
-	padded := ws.floatMatrix(n + 1)
-	for i := 0; i < n; i++ {
-		if len(w[i]) != n {
-			return nil, 0, ErrNotSquare
-		}
-		copy(padded[i], w[i])
-		// The phantom column stays 0: pairing with the phantom is free.
-		padded[i][n] = 0
-	}
-	for j := range padded[n] {
-		padded[n][j] = 0
-	}
-	mate, total, err = ws.MinWeightPerfectMatching(padded)
-	if err != nil {
-		return nil, 0, err
-	}
-	mate = mate[:n]
-	for i, m := range mate {
-		if m == n {
-			mate[i] = -1
-		}
-	}
-	return mate, total, nil
-}
-
-// Pairs converts a mate array into a list of (i, j) pairs with i < j.
-func Pairs(mate []int) [][2]int {
-	var out [][2]int
-	for i, m := range mate {
-		if m > i {
-			out = append(out, [2]int{i, m})
-		}
-	}
-	return out
 }

@@ -214,16 +214,6 @@ func TestBruteForceErrors(t *testing.T) {
 	}
 }
 
-func TestPairs(t *testing.T) {
-	pairs := Pairs([]int{1, 0, 3, 2})
-	if len(pairs) != 2 || pairs[0] != [2]int{0, 1} || pairs[1] != [2]int{2, 3} {
-		t.Fatalf("Pairs = %v", pairs)
-	}
-	if p := Pairs(nil); p != nil {
-		t.Fatalf("Pairs(nil) = %v", p)
-	}
-}
-
 func TestMatchingPropertyQuick(t *testing.T) {
 	// Any random symmetric instance: blossom result is perfect and its
 	// weight equals the subset-DP optimum.

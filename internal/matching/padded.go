@@ -19,11 +19,11 @@ type paddedTables struct {
 	tied   [1 << maxPaddedVertices]bool  // more than one grouping reaches the mask at gain
 }
 
-// MinWeightPaddedMatching is MinWeightMatching on the idle-padded graph of
-// SYNPA's Step 3: vertices 0..n−1 are applications and the remaining
-// len(w)−n are idle slots, each application prices every idle slot alike
-// and every idle–idle edge costs the same. Such a matching is one grouping
-// of the applications into pairs and solos.
+// MinWeightPaddedMatching is MinWeightPerfectMatching on the idle-padded
+// graph of SYNPA's Step 3: vertices 0..n−1 are applications and the
+// remaining len(w)−n are idle slots, each application prices every idle
+// slot alike and every idle–idle edge costs the same. Such a matching is
+// one grouping of the applications into pairs and solos.
 //
 // Up to maxPaddedVertices vertices it first runs a subset dynamic program
 // over the same complement-transformed integer weights blossom uses. An
@@ -33,7 +33,7 @@ type paddedTables struct {
 // unique; blossom, being exact over those integers, would return that same
 // grouping (its idle-slot numbering may differ). On a tie, a larger graph,
 // idle slots that are not interchangeable, or a malformed matrix it defers
-// to MinWeightMatching, which also reports any error.
+// to MinWeightPerfectMatching, which also reports any error.
 func (ws *Workspace) MinWeightPaddedMatching(w [][]float64, n int) (mate []int, total float64, err error) {
 	if mate, ok := ws.paddedDP(w, n); ok {
 		for i, m := range mate {
@@ -43,7 +43,7 @@ func (ws *Workspace) MinWeightPaddedMatching(w [][]float64, n int) (mate []int, 
 		}
 		return mate, total, nil
 	}
-	return ws.MinWeightMatching(w)
+	return ws.MinWeightPerfectMatching(w)
 }
 
 // MinWeightPaddedMatching is the allocating form of

@@ -57,7 +57,7 @@ func checkPadded(t *testing.T, w [][]float64, n int) bool {
 		return false
 	}
 	assertPerfect(t, mate)
-	want, wantTotal, err := MinWeightMatching(w)
+	want, wantTotal, err := MinWeightPerfectMatching(w)
 	if err != nil {
 		t.Fatalf("DP answered a matrix blossom rejects (%v): %v", err, w)
 	}
@@ -141,7 +141,7 @@ func TestPaddedMatchingDefers(t *testing.T) {
 	// The deferred call returns exactly what blossom returns, error included.
 	for _, w := range [][][]float64{make([][]float64, 3), {{0, 1}, {1}}, asym} {
 		mate, total, err := MinWeightPaddedMatching(w, len(w))
-		wm, wt, werr := MinWeightMatching(w)
+		wm, wt, werr := MinWeightPerfectMatching(w)
 		if !slices.Equal(mate, wm) || total != wt || err != werr {
 			t.Errorf("deferred %v, %v, %v; blossom %v, %v, %v", mate, total, err, wm, wt, werr)
 		}
@@ -188,7 +188,7 @@ func BenchmarkPaddedMatching(b *testing.B) {
 				name  string
 				solve func() ([]int, float64, error)
 			}{
-				{"blossom", func() ([]int, float64, error) { return ws.MinWeightMatching(w) }},
+				{"blossom", func() ([]int, float64, error) { return ws.MinWeightPerfectMatching(w) }},
 				{"dp", func() ([]int, float64, error) { return ws.MinWeightPaddedMatching(w, occ.n) }},
 			}
 			for _, s := range solvers {

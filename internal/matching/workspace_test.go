@@ -30,10 +30,10 @@ func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	rng := xrand.New(7)
 	var ws Workspace
 	for round := 0; round < 40; round++ {
-		n := []int{2, 8, 5, 12, 3, 8, 16, 7}[round%8]
+		n := []int{2, 8, 6, 12, 4, 8, 16, 10}[round%8]
 		w := randMatrix(rng, n)
-		gotMate, gotTotal, gotErr := ws.MinWeightMatching(w)
-		wantMate, wantTotal, wantErr := MinWeightMatching(w)
+		gotMate, gotTotal, gotErr := ws.MinWeightPerfectMatching(w)
+		wantMate, wantTotal, wantErr := MinWeightPerfectMatching(w)
 		if gotErr != nil || wantErr != nil {
 			t.Fatalf("round %d (n=%d): errs %v / %v", round, n, gotErr, wantErr)
 		}

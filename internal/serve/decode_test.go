@@ -119,7 +119,7 @@ func FuzzPlaceRequest(f *testing.F) {
 // one answer per non-empty line (bufio.ScanLines drops a line's trailing
 // CR first), each a PlaceResponse or an ErrorResponse.
 func FuzzPlaceBatch(f *testing.F) {
-	srv, err := New(core.PaperCoefficients(), Config{Registry: obs.NewRegistry(), BatchChunk: 3})
+	srv, err := New(core.PaperCoefficients(), Config{Registry: obs.NewRegistry()})
 	if err != nil {
 		f.Fatal(err)
 	}

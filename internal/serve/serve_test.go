@@ -180,7 +180,7 @@ func TestPlaceDifferential(t *testing.T) {
 func TestBatchDifferential(t *testing.T) {
 	model := core.PaperCoefficients()
 	queries := synthQueries(t, model, 12)
-	_, hts := newTestServer(t, model, serve.Config{BatchChunk: 5})
+	_, hts := newTestServer(t, model, serve.Config{})
 
 	const badLine = 7
 	var in bytes.Buffer
@@ -328,8 +328,9 @@ func TestErrors(t *testing.T) {
 
 	// Single queries that must fail: malformed, unknown or misspelled keys
 	// (keys match the field names exactly), data after the object,
-	// infeasible shapes, repeated app identities, and bodies over
-	// MaxRequestBytes, however they are padded.
+	// infeasible shapes, repeated app identities, a prev with more apps on
+	// a core than it has threads, and bodies over MaxRequestBytes, however
+	// they are padded.
 	for _, tc := range []struct {
 		name, body string
 		status     int
@@ -342,6 +343,7 @@ func TestErrors(t *testing.T) {
 		{"too-many-cores", fmt.Sprintf(`{"num_cores": %d, "num_apps": 2}`, serve.MaxCores+1), http.StatusBadRequest},
 		{"negative-dispatch-width", `{"num_cores": 2, "num_apps": 2, "dispatch_width": -4}`, http.StatusBadRequest},
 		{"duplicate-app-ids", `{"num_cores": 2, "num_apps": 3, "app_ids": [4, 7, 4]}`, http.StatusBadRequest},
+		{"overfull-prev", `{"num_cores": 2, "num_apps": 3, "prev": [1, 1, 1]}`, http.StatusBadRequest},
 		{"oversized-place", fmt.Sprintf(`{"num_cores": 4, "num_apps": 2, "app_ids": [%s1]}`, strings.Repeat("1,", 4<<10)), http.StatusRequestEntityTooLarge},
 		{"oversized-padding", `{"num_cores": 4, "num_apps": 2}` + strings.Repeat(" ", 4<<10), http.StatusRequestEntityTooLarge},
 	} {
@@ -376,8 +378,9 @@ func TestErrors(t *testing.T) {
 			`{"num_cores": 2, "num_apps": 2, "bogus": 1}` + "\n" +
 			`{"Num_Cores": 2, "num_apps": 2}` + "\n" +
 			`{"num_cores": 2, "num_apps": 2} x` + "\n" +
-			`{"num_cores": 2, "num_apps": 2, "app_ids": [5, 5]}` + "\n"
-		wantErr := []string{"parsing request", "parsing request", "parsing request", "repeats app_ids[0]"}
+			`{"num_cores": 2, "num_apps": 2, "app_ids": [5, 5]}` + "\n" +
+			`{"num_cores": 2, "num_apps": 3, "prev": [0, 0, 0], "smt_level": 2}` + "\n"
+		wantErr := []string{"parsing request", "parsing request", "parsing request", "repeats app_ids[0]", "more than 2 apps"}
 		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(body))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch status %s: %s", resp.Status, raw)
@@ -409,6 +412,43 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("failed swap advanced the generation to %d", srv.Generation())
 		}
 	})
+}
+
+// TestBatchLineLimit pins the per-line limit of /v1/place/batch: a line
+// over MaxRequestBytes aborts the stream with one trailing error line,
+// counted once, after the answers to the lines before it. It holds for a
+// limit below the scanner's usual 64 KiB buffer and for lines above it.
+func TestBatchLineLimit(t *testing.T) {
+	model := core.PaperCoefficients()
+	good := `{"num_cores": 2, "num_apps": 2}`
+	for _, size := range []int{447, 70 << 10} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			_, hts := newTestServer(t, model, serve.Config{MaxRequestBytes: 256, Registry: reg})
+			long := good + strings.Repeat(" ", size-len(good))
+			resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place/batch", []byte(good+"\n"+long+"\n"))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status %s: %s", resp.Status, raw)
+			}
+			lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+			if len(lines) != 2 {
+				t.Fatalf("batch returned %d lines, want an answer and an abort line: %s", len(lines), raw)
+			}
+			var ok serve.PlaceResponse
+			if err := json.Unmarshal(lines[0], &ok); err != nil || len(ok.Placement) != 2 {
+				t.Fatalf("line 0: want a placement, got %s", lines[0])
+			}
+			var e serve.ErrorResponse
+			if err := json.Unmarshal(lines[1], &e); err != nil || !strings.Contains(e.Error, "batch stream aborted") {
+				t.Fatalf("line 1: want a batch stream aborted error, got %s", lines[1])
+			}
+			c := reg.Snapshot().Counters
+			if c["synpad.batch.errors"] != 1 || c["synpad.batch.queries"] != 1 {
+				t.Fatalf("synpad.batch.errors = %d, queries = %d; want 1 and 1",
+					c["synpad.batch.errors"], c["synpad.batch.queries"])
+			}
+		})
+	}
 }
 
 // TestStatsAndHealth exercises /v1/stats and /healthz over both cache

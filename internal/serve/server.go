@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"synpa/internal/core"
-	"synpa/internal/machine"
 	"synpa/internal/obs"
 	"synpa/internal/predcache"
 )
@@ -45,18 +44,16 @@ type Config struct {
 	// generation so all in-flight requests warm one memo (bit-identical
 	// by construction); false gives each pooled arena private caches.
 	SharedCache bool
-	// MaxRequestBytes bounds one /v1/place, /v1/model body or one batch
-	// line (default 1 MiB).
+	// MaxRequestBytes bounds one /v1/place or /v1/model body, and one
+	// /v1/place/batch line with its newline (default 1 MiB). A batch line
+	// over it aborts the stream with a trailing error line.
 	MaxRequestBytes int64
 	// MaxBatchBytes bounds a whole /v1/place/batch stream (default 64 MiB).
 	MaxBatchBytes int64
 	// MaxConcurrent bounds the placement requests decided at once; excess
 	// requests are rejected with 503 rather than queued (default
-	// 4×GOMAXPROCS).
+	// 4×GOMAXPROCS). A batch stream holds one slot for its whole length.
 	MaxConcurrent int
-	// BatchChunk is how many batch lines are decoded, warmed through one
-	// InvertBatch and answered per cycle (default 64).
-	BatchChunk int
 	// DrainTimeout bounds Shutdown's graceful drain when the caller's
 	// context has no deadline (default 10s).
 	DrainTimeout time.Duration
@@ -74,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.BatchChunk <= 0 {
-		c.BatchChunk = 64
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -257,11 +251,12 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 // handleBatch answers POST /v1/place/batch: a JSONL stream of PlaceRequests
 // in, the matching JSONL stream of PlaceResponses out, strictly 1:1 and in
-// order (a malformed line yields an ErrorResponse line, not a dropped one;
-// an empty line carries no query and gets no answer).
-// Lines are processed in chunks: each chunk's model inversions are warmed
-// through one InvertBatch before the per-query decisions, so duplicate ST
-// vectors across the chunk cost one Newton solve.
+// order. Each non-empty line is decoded, decided by PlaceOne and encoded
+// before the next line is read, so the handler holds one request at a time.
+// A malformed or infeasible line yields an ErrorResponse line, not a
+// dropped one; an empty line carries no query and gets no answer. Answers
+// leave through one buffered writer, flushed when it fills and when the
+// stream ends.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.batchRequests.Add(1)
 	if r.ContentLength > s.cfg.MaxBatchBytes {
@@ -279,92 +274,63 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	a := sv.arena()
 	defer sv.release(a)
 
+	// The scanner's line limit is the larger of its buffer and its max, so
+	// the buffer starts no larger than MaxRequestBytes.
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
-	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxRequestBytes))
+	sc.Buffer(make([]byte, min(64<<10, s.cfg.MaxRequestBytes)), int(s.cfg.MaxRequestBytes))
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Synpad-Generation", strconv.FormatInt(sv.gen, 10))
 	bw := bufio.NewWriter(w)
 	defer bw.Flush()
-	// answer writes one line; a response that cannot be encoded becomes an
-	// ErrorResponse line, so the stream stays 1:1.
+
+	// place decides one line: its answer, or the error to answer instead.
+	place := func(raw []byte) (*PlaceResponse, error) {
+		var q PlaceRequest
+		if err := decodeRequest(raw, &q); err != nil {
+			return nil, fmt.Errorf("parsing request: %w", err)
+		}
+		t0 := time.Now()
+		resp, err := PlaceOne(sv.policy, a, &q)
+		s.m.placeLatency.Observe(float64(time.Since(t0).Nanoseconds()))
+		return resp, err
+	}
+	// answer writes one line: resp, or err as an ErrorResponse. A response
+	// that cannot be encoded becomes an ErrorResponse line too, so the
+	// stream stays 1:1.
 	var buf bytes.Buffer
-	answer := func(v any) error {
+	answer := func(resp *PlaceResponse, err error) error {
+		var v any = resp
+		if err != nil {
+			s.m.batchErrors.Add(1)
+			v = ErrorResponse{Error: err.Error()}
+		} else {
+			s.m.batchQueries.Add(1)
+		}
 		buf.Reset()
 		if encodeAnswer(&buf, v) != nil {
 			s.m.batchErrors.Add(1)
 		}
-		_, err := bw.Write(buf.Bytes())
+		_, err = bw.Write(buf.Bytes())
 		return err
 	}
 
-	type line struct {
-		q   *PlaceRequest
-		err error
-	}
-	chunk := make([]line, 0, s.cfg.BatchChunk)
-	sts := make([]*machine.QuantumState, 0, s.cfg.BatchChunk)
-
-	flush := func() error {
-		sts = sts[:0]
-		for _, ln := range chunk {
-			if ln.err == nil && ln.q.Validate() == nil {
-				sts = append(sts, ln.q.state())
-			}
-		}
-		sv.policy.WarmInversions(a, sts)
-		for _, ln := range chunk {
-			if ln.err != nil {
-				s.m.batchErrors.Add(1)
-				if err := answer(ErrorResponse{Error: ln.err.Error()}); err != nil {
-					return err
-				}
-				continue
-			}
-			t0 := time.Now()
-			resp, err := PlaceOne(sv.policy, a, ln.q)
-			s.m.placeLatency.Observe(float64(time.Since(t0).Nanoseconds()))
-			if err != nil {
-				s.m.batchErrors.Add(1)
-				if err := answer(ErrorResponse{Error: err.Error()}); err != nil {
-					return err
-				}
-				continue
-			}
-			s.m.batchQueries.Add(1)
-			if err := answer(resp); err != nil {
-				return err
-			}
-		}
-		chunk = chunk[:0]
-		return nil
-	}
-
 	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		ln := line{q: &PlaceRequest{}}
-		if err := decodeRequest(raw, ln.q); err != nil {
-			ln = line{err: fmt.Errorf("parsing request: %w", err)}
-		}
-		chunk = append(chunk, ln)
-		if len(chunk) >= s.cfg.BatchChunk {
-			if err := flush(); err != nil {
-				return // client gone; nothing sensible left to write
-			}
+		if answer(place(sc.Bytes())) != nil {
+			return // client gone; nothing sensible left to write
 		}
 	}
 	if err := sc.Err(); err != nil {
 		// Mid-stream failure (line over MaxRequestBytes, body over
 		// MaxBatchBytes, transport error) after the 200 header is already
 		// out: degrade to a trailing error line so the client sees a
-		// structured reason instead of silence.
-		s.m.batchErrors.Add(1)
-		chunk = append(chunk, line{err: fmt.Errorf("batch stream aborted: %w", err)})
+		// structured reason instead of silence. A failed write means the
+		// client is gone.
+		_ = answer(nil, fmt.Errorf("batch stream aborted: %w", err))
 	}
-	_ = flush()
 }
 
 // handleModel answers POST /v1/model: parse, validate, build a complete new

@@ -137,9 +137,19 @@ func (q *PlaceRequest) Validate() error {
 	if q.Prev != nil && len(q.Prev) != q.NumApps {
 		return fmt.Errorf("prev has %d entries for %d apps", len(q.Prev), q.NumApps)
 	}
+	// A core runs at most smt_level apps, and PlaceR's Step 1 inverts each
+	// previous core's apps as one co-runner group, so prev must not put
+	// more on a core. The counts live on the stack.
+	var load [MaxCores]int
 	for i, c := range q.Prev {
 		if c < machine.Unplaced || c >= q.NumCores {
 			return fmt.Errorf("prev[%d] = %d outside [-1, %d)", i, c, q.NumCores)
+		}
+		if c == machine.Unplaced {
+			continue
+		}
+		if load[c]++; load[c] > level {
+			return fmt.Errorf("prev puts more than %d apps (smt_level) on core %d", level, c)
 		}
 	}
 	if q.Samples != nil {

@@ -33,7 +33,7 @@ func TestRunDynamicAcceptance(t *testing.T) {
 		{"Linux", sys.LinuxPolicy()},
 		{"Random", sys.RandomPolicy(5)},
 		// The paper-model SYNPA policy must survive odd live-app counts
-		// (phantom-vertex matching) and mid-run admissions.
+		// (an idle-padded matching graph) and mid-run admissions.
 		{"SYNPA", sys.SYNPAPolicy(PaperModel())},
 	} {
 		rep, err := sys.RunDynamic(tr, tc.policy)
