@@ -11,48 +11,27 @@
 //	synpa-bench -experiment dynamic -smt 4 # any experiment at another SMT level
 //	synpa-bench -list                      # list experiment names
 //
-// Performance tracking:
+// Engine comparison:
 //
-//	synpa-bench -experiment all -perfstat auto        # next BENCH_NNNN.json
-//	synpa-bench -experiment all -perfstat run.json    # explicit path
 //	synpa-bench -experiment all -fastforward=false    # reference engine
 //
-// The perfstat report records each experiment's wall time and allocation
-// churn plus the run configuration, so committed BENCH_*.json files form a
-// performance trajectory across changes. Placement latency and throughput,
-// in process and served by synpad, are measured by the repository
-// benchmark instead (perfbench/, e.g. its synpad-loop workload).
+// Each text table is headed by the experiment's wall time. Performance
+// figures — simulation throughput, placement latency and throughput, peak
+// heap — are measured by the repository benchmark instead (perfbench/).
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	admpkg "synpa/internal/admission"
 	"synpa/internal/experiments"
-	"synpa/internal/machine"
 	"synpa/internal/obs"
-	"synpa/internal/perfstat"
 )
-
-// runMachineCfg mirrors the suite's per-run machine derivation: when the
-// suite fans runs out across CPUs itself, every run's machine is forced
-// serial (experiments.Suite.Run), so that is the configuration whose
-// effective worker count the BENCH metadata must report.
-func runMachineCfg(cfg experiments.Config) machine.Config {
-	mc := cfg.Machine
-	if cfg.Parallel {
-		mc.Parallel = false
-	}
-	return mc
-}
 
 func main() {
 	var (
@@ -68,13 +47,19 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each run's quanta (0 = GOMAXPROCS, 1 = serial; bit-identical at any count; effective when per-run parallelism is active, e.g. -parallel=false)")
 		format     = flag.String("format", "text", "output format: text | json | csv")
 		ff         = flag.Bool("fastforward", true, "enable the event-driven core fast-forward engine (observationally equivalent; disable to time the per-cycle reference)")
-		perfOut    = flag.String("perfstat", "", "write per-experiment wall-time/alloc JSON to this path ('auto' picks the next BENCH_NNNN.json)")
 		fleetM     = flag.Int("fleet-machines", 0, "dynfleet-scale cluster size (0 = 500)")
 		fleetJ     = flag.Int("fleet-jobs", 0, "dynfleet-scale stream length (0 = 1,000,000)")
 		traceOut   = flag.String("trace-out", "", "write the run's event trace to this '[format:]path' (formats: chrome = Perfetto trace-event JSON, jsonl; default by extension). Needs a single -experiment and forces -parallel=false so the trace stays deterministic")
 		metricsOut = flag.String("metrics-out", "", "write the metrics registry snapshot (counters/histograms, JSON) to this path; byte-stable across runs when -parallel=false")
 	)
 	flag.Parse()
+
+	switch *format {
+	case "text", "json", "csv":
+	default:
+		fmt.Fprintf(os.Stderr, "synpa-bench: -format %q: want text | json | csv\n", *format)
+		os.Exit(2)
+	}
 
 	var traceFormat, tracePath string
 	if *traceOut != "" {
@@ -111,7 +96,7 @@ func main() {
 	}
 	cfg.Parallel = *parallel
 	// Fail fast on a bad discipline instead of minutes into an -experiment
-	// all pass (and never record a bogus name in the perfstat metadata).
+	// all pass.
 	if _, err := admpkg.ByName(*admission); err != nil {
 		fmt.Fprintf(os.Stderr, "synpa-bench: -admission: %v\n", err)
 		os.Exit(2)
@@ -119,14 +104,10 @@ func main() {
 	cfg.Admission = *admission
 	cfg.Machine.Workers = *workers
 	cfg.Machine.FastForward = *ff
-	if *perfOut != "" {
-		perfstat.EnablePhases(true)
-	}
 	if *traceOut != "" || *metricsOut != "" {
-		// The bench observer shares the global registry, so the metrics
-		// snapshot and the BENCH phases view read the same accumulators.
-		// Event tracing additionally needs a serial suite: counters commute,
-		// trace appends do not.
+		// The bench observer shares the global registry. Event tracing
+		// additionally needs a serial suite: counters commute, trace
+		// appends do not.
 		o := &obs.Observer{Reg: obs.Global()}
 		if *traceOut != "" {
 			o.Trace = obs.NewTrace(0)
@@ -184,26 +165,13 @@ func main() {
 		return
 	}
 
-	var collector perfstat.Collector
-	// Watch the heap high-water mark across the whole measured run: the
-	// fleet's bounded-memory claim (peak O(machines + classes), not
-	// O(jobs)) is pinned by the peak_heap_bytes this records.
-	var heapWatch *perfstat.HeapWatch
-	if *perfOut != "" {
-		heapWatch = perfstat.StartHeapWatch(0)
-	}
 	ran := 0
 	for _, e := range exps {
 		if *exp != "all" && e.name != *exp {
 			continue
 		}
 		start := time.Now()
-		var tab *experiments.Table
-		err := collector.Measure(e.name, func() error {
-			var err error
-			tab, err = e.run()
-			return err
-		})
+		tab, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "synpa-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
@@ -249,56 +217,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "synpa-bench: metrics written to %s\n", *metricsOut)
-	}
-
-	if *perfOut != "" {
-		path := *perfOut
-		if path == "auto" {
-			var err error
-			path, err = perfstat.NextBenchPath(".")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "synpa-bench:", err)
-				os.Exit(1)
-			}
-		}
-		heap := heapWatch.Stop()
-		report := collector.Report(map[string]string{
-			"experiment": *exp,
-			"smt":        strconv.Itoa(cfg.Machine.ThreadsPerCore()),
-			"reps":       strconv.Itoa(cfg.Reps),
-			"quantum":    strconv.FormatUint(cfg.Machine.QuantumCycles, 10),
-			"ref_quanta": strconv.Itoa(cfg.RefQuanta),
-			"seed":       strconv.FormatUint(cfg.Seed, 10),
-			// The effective parallelism of this run, so committed
-			// BENCH_*.json trajectories stay interpretable: the GOMAXPROCS
-			// the process actually had and the worker count the per-run
-			// machines actually resolved (the suite forces per-run
-			// serialism while it fans runs out itself, exactly as
-			// experiments.Suite.Run does).
-			"admission":   cmp.Or(cfg.Admission, "fifo"),
-			"gomaxprocs":  strconv.Itoa(runtime.GOMAXPROCS(0)),
-			"workers":     strconv.Itoa(runMachineCfg(cfg).EffectiveWorkers()),
-			"fastforward": strconv.FormatBool(*ff),
-			"parallel":    strconv.FormatBool(*parallel),
-			// Heap high-water over the measured region: peak live bytes
-			// plus total allocation churn. For dynfleet-scale this is the
-			// bounded-memory evidence — the peak must track the machine
-			// count, never the (orders-of-magnitude larger) job count.
-			"peak_heap_bytes": strconv.FormatUint(heap.PeakHeapBytes, 10),
-			"alloc_bytes":     strconv.FormatUint(heap.AllocBytes, 10),
-			"allocs":          strconv.FormatUint(heap.Allocs, 10),
-			"num_gc":          strconv.FormatUint(uint64(heap.NumGC), 10),
-		})
-		if err := report.WriteFile(path); err != nil {
-			fmt.Fprintln(os.Stderr, "synpa-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "synpa-bench: perfstat written to %s (total %.1fs)\n",
-			path, report.TotalWallSeconds)
-		for _, name := range []string{"policy", "simulation", "matching", "dispatch"} {
-			if s, ok := report.Phases[name]; ok {
-				fmt.Fprintf(os.Stderr, "synpa-bench: phase %-10s %8.2fs\n", name, s)
-			}
-		}
 	}
 }

@@ -3,8 +3,9 @@
 // on clusters of identical machines, crossing the dispatch disciplines
 // with the placement policies over three cluster-shaped arrival streams.
 // The scale variant streams a million-job Poisson trace into hundreds of
-// machines — the run whose bounded-memory claim the BENCH heap high-water
-// figures pin.
+// machines — the run that exercises the fleet's bounded-memory claim,
+// which the repository benchmark checks (perfbench fleet-churn
+// peak_heap_mb).
 package experiments
 
 import (
@@ -209,8 +210,7 @@ type FleetScaleOptions struct {
 // DynFleetScale streams a Poisson trace of tiny jobs into a large cluster
 // under least-loaded dispatch and Linux placement — the memory-scaling
 // run: job count exceeds machine count by orders of magnitude, so any
-// per-job retention would dominate the heap high-water mark the BENCH
-// harness records. Jobs are sized to two scheduling quanta of isolated
+// per-job retention would dominate the peak heap. Jobs are sized to two scheduling quanta of isolated
 // work and the arrival rate to ~65% effective cluster utilisation.
 func (s *Suite) DynFleetScale(opt FleetScaleOptions) (*Table, error) {
 	machines := opt.Machines
@@ -265,7 +265,7 @@ func (s *Suite) DynFleetScale(opt FleetScaleOptions) (*Table, error) {
 			"MeanResp(Kcyc)", "P95(Kcyc)", "ANTT", "STP", "MeanLive", "Imb"},
 		Notes: []string{
 			"least-loaded dispatch, Linux placement, two-quanta jobs at ~65% effective utilisation",
-			"memory stays O(machines + classes + in-flight): the BENCH meta's peak_heap_bytes pins it against the job count",
+			"memory stays O(machines + classes + in-flight): perfbench fleet-churn's peak_heap_mb bounds it against the parent commit",
 		},
 	}
 	t.AddRow(fmt.Sprint(rep.Machines), fmt.Sprint(rep.Workers),

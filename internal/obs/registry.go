@@ -292,8 +292,8 @@ var (
 )
 
 // Global returns the process-wide registry: the home of cross-run metrics
-// like the perfstat phase accumulators, and the registry the bench
-// harness snapshots into BENCH_*.json.
+// like the perfstat phase accumulators, and the registry synpa-bench
+// -metrics-out snapshots.
 func Global() *Registry {
 	globalOnce.Do(func() { global = NewRegistry() })
 	return global

@@ -1,97 +1,9 @@
 package perfstat
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 )
-
-func TestMeasureRecordsAndPassesErrors(t *testing.T) {
-	var c Collector
-	if err := c.Measure("ok", func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	want := errors.New("boom")
-	if err := c.Measure("fail", func() error { return want }); err != want {
-		t.Fatalf("error not passed through: %v", err)
-	}
-	recs := c.Records()
-	if len(recs) != 2 || recs[0].Name != "ok" || recs[1].Name != "fail" {
-		t.Fatalf("unexpected records: %+v", recs)
-	}
-	if recs[0].WallSeconds < 0 {
-		t.Fatalf("negative wall time: %+v", recs[0])
-	}
-}
-
-func TestReportJSONRoundTrip(t *testing.T) {
-	var c Collector
-	c.Measure("r1", func() error { return nil })
-	rep := c.Report(map[string]string{"fastforward": "true"})
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Records) != 1 || back.Records[0].Name != "r1" {
-		t.Fatalf("round trip lost records: %+v", back)
-	}
-	if back.Meta["fastforward"] != "true" {
-		t.Fatalf("round trip lost meta: %+v", back.Meta)
-	}
-	if back.GoMaxProcs < 1 {
-		t.Fatalf("missing gomaxprocs: %+v", back)
-	}
-}
-
-func TestNextBenchPath(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NextBenchPath(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p) != "BENCH_0001.json" {
-		t.Fatalf("first path = %s", p)
-	}
-	for _, name := range []string{"BENCH_0001.json", "BENCH_0007.json", "notes.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, err = NextBenchPath(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p) != "BENCH_0008.json" {
-		t.Fatalf("next path = %s", p)
-	}
-}
-
-func TestHeapWatch(t *testing.T) {
-	w := StartHeapWatch(time.Millisecond)
-	// Hold a visible allocation across a few sampling intervals.
-	buf := make([]byte, 8<<20)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	time.Sleep(10 * time.Millisecond)
-	st := w.Stop()
-	runtime.KeepAlive(buf)
-	if st.PeakHeapBytes < 8<<20 {
-		t.Errorf("peak %d does not cover the 8MiB live buffer", st.PeakHeapBytes)
-	}
-	if st.AllocBytes < 8<<20 || st.Allocs == 0 {
-		t.Errorf("allocation volume not tracked: bytes=%d allocs=%d", st.AllocBytes, st.Allocs)
-	}
-}
 
 func TestDispatchPhaseName(t *testing.T) {
 	EnablePhases(true)

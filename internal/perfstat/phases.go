@@ -1,16 +1,17 @@
-// Per-phase wall-time attribution: a process-global, concurrency-safe set
-// of nanosecond accumulators that split an experiment's wall time into the
-// layers a perf PR would target — allocation-policy time, core-simulation
-// time, and matching/grouping solver time. Collection is off by default
-// and enabled by the bench harness (synpa-bench -perfstat); when disabled,
-// an instrumentation site costs one atomic load.
+// Package perfstat attributes wall time to the simulator's layers: a
+// process-global, concurrency-safe set of nanosecond accumulators that
+// split a run's wall time into allocation-policy time, core-simulation
+// time, matching/grouping solver time and fleet dispatch time. Collection
+// is off by default and switched on by the repository benchmark
+// (perfbench, for its per-layer figures); when disabled, an
+// instrumentation site costs one atomic load.
 //
 // The accumulators live in the global obs.Registry ("phase.<name>.nanos"
-// counters) — the single source of truth the metrics snapshots in
-// BENCH_*.json and -metrics-out read — and PhaseSeconds is a view over
-// them, so the BENCH phases map and the registry can never drift. The
-// wall-clock reads stay in this package (perfstat is outside the nondet
-// lint core by design); obs itself only ever sees the accumulated nanos.
+// counters) — the single source of truth that synpa-bench -metrics-out
+// snapshots — and PhaseSeconds is a view over them, so the phase split and
+// the registry can never drift. The wall-clock reads stay in this package
+// (perfstat is outside the nondet lint core by design); obs itself only
+// ever sees the accumulated nanos.
 package perfstat
 
 import (

@@ -556,7 +556,8 @@ func TestGracefulDrain(t *testing.T) {
 // TestUnencodableAnswer serves a model whose finite coefficients overflow
 // the predicted degradations to +Inf, which JSON cannot carry: /v1/place
 // must answer 500 with a structured error and count it, and the batch
-// endpoint must answer the query with an error line in its place.
+// endpoint must answer the query with an error line in its place and
+// count it as an error only, never also as a query.
 func TestUnencodableAnswer(t *testing.T) {
 	model := core.PaperCoefficients()
 	for k := range model.Coef {
@@ -596,7 +597,9 @@ func TestUnencodableAnswer(t *testing.T) {
 			t.Fatalf("line %d: want an encoding error, got %s", i, line)
 		}
 	}
-	if got := reg.Snapshot().Counters["synpad.batch.errors"]; got != 2 {
-		t.Fatalf("synpad.batch.errors = %d, want 2", got)
+	c := reg.Snapshot().Counters
+	if c["synpad.batch.errors"] != 2 || c["synpad.batch.queries"] != 0 {
+		t.Fatalf("synpad.batch.errors = %d, queries = %d; want 2 and 0",
+			c["synpad.batch.errors"], c["synpad.batch.queries"])
 	}
 }

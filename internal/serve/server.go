@@ -57,8 +57,7 @@ type Config struct {
 	// DrainTimeout bounds Shutdown's graceful drain when the caller's
 	// context has no deadline (default 10s).
 	DrainTimeout time.Duration
-	// Registry receives the serving metrics (default obs.Global(), so a
-	// loopback bench lands them in BENCH_*.json automatically).
+	// Registry receives the serving metrics (default obs.Global()).
 	Registry *obs.Registry
 }
 
@@ -302,14 +301,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	answer := func(resp *PlaceResponse, err error) error {
 		var v any = resp
 		if err != nil {
-			s.m.batchErrors.Add(1)
 			v = ErrorResponse{Error: err.Error()}
-		} else {
-			s.m.batchQueries.Add(1)
 		}
 		buf.Reset()
-		if encodeAnswer(&buf, v) != nil {
+		// A query counts once its answer has encoded; an unencodable
+		// answer is an error line, never both.
+		if encErr := encodeAnswer(&buf, v); err != nil || encErr != nil {
 			s.m.batchErrors.Add(1)
+		} else {
+			s.m.batchQueries.Add(1)
 		}
 		_, err = bw.Write(buf.Bytes())
 		return err

@@ -2,9 +2,10 @@
 // non-decreasing ArriveAt order, so a million-job trace never has to be
 // materialised. TraceStream is the iterator contract; StreamTrace adapts an
 // in-memory Trace (sorting a copy of its order, not its entries), and
-// PoissonStream/PoissonStreamMixed generate the exact entry sequence of
-// PoissonTrace/PoissonTraceMixed lazily — same seed, same draws, same
-// entries, O(1) memory (cross-checked in stream_test.go).
+// PoissonStream/PoissonStreamMixed are the one Poisson generator, in O(1)
+// memory; PoissonTrace/PoissonTraceMixed materialise it, so a streamed and
+// a materialised trace with the same parameters hold the same entries
+// (pinned by digest in stream_test.go).
 package workload
 
 import (
@@ -101,10 +102,9 @@ func PoissonStream(name string, seed uint64, pool []string, n int, meanGapCycles
 	return PoissonStreamMixed(name, seed, pool, n, meanGapCycles, work, nil)
 }
 
-// PoissonStreamMixed is the lazy equivalent of PoissonTraceMixed: it emits
-// the identical entry sequence for identical parameters (the generator
-// consumes the same RNG draws in the same order), in O(1) memory. An empty
-// pool or non-positive n yields an empty stream.
+// PoissonStreamMixed is the lazy equivalent of PoissonTraceMixed, which
+// collects it: the identical entry sequence for identical parameters, in
+// O(1) memory. An empty pool or non-positive n yields an empty stream.
 func PoissonStreamMixed(name string, seed uint64, pool []string, n int, meanGapCycles, work float64, mix []ClassShare) TraceStream {
 	s := &poissonStream{
 		name:    name,

@@ -12,7 +12,6 @@ import (
 	"synpa/internal/apps"
 	"synpa/internal/machine"
 	"synpa/internal/stats"
-	"synpa/internal/xrand"
 )
 
 // TraceEntry is one arrival of an open-system (dynamic) workload.
@@ -255,27 +254,10 @@ func SummarizeDynamic(res *machine.DynamicResult, isoCycles []float64) DynamicSt
 // arrivals: inter-arrival gaps are exponential draws with the given mean
 // (in cycles) and each arrival picks uniformly from pool. The same seed
 // always yields the same trace, so Poisson scenarios are as reproducible
-// as scripted ones.
+// as scripted ones. An empty pool or non-positive n yields an empty trace,
+// which fails Validate with a usable message.
 func PoissonTrace(name string, seed uint64, pool []string, n int, meanGapCycles float64, work float64) Trace {
-	if len(pool) == 0 || n <= 0 {
-		// An empty trace fails Validate with a usable message instead of
-		// panicking in rng.Intn here.
-		return Trace{Name: name}
-	}
-	rng := xrand.New(seed)
-	t := Trace{Name: name, Entries: make([]TraceEntry, 0, n)}
-	var at float64
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			at += rng.Exp(meanGapCycles)
-		}
-		t.Entries = append(t.Entries, TraceEntry{
-			App:      pool[rng.Intn(len(pool))],
-			ArriveAt: uint64(at),
-			Work:     work,
-		})
-	}
-	return t
+	return PoissonTraceMixed(name, seed, pool, n, meanGapCycles, work, nil)
 }
 
 // ClassShare is one priority class's share of a mixed-priority trace.
@@ -299,54 +281,9 @@ type ClassShare struct {
 // with probability proportional to the class's Share. Like PoissonTrace,
 // the same seed always yields the same trace. A nil or empty mix draws no
 // class at all, so the result is bit-identical to PoissonTrace with the
-// same parameters.
+// same parameters. It materialises PoissonStreamMixed, the one generator.
 func PoissonTraceMixed(name string, seed uint64, pool []string, n int, meanGapCycles, work float64, mix []ClassShare) Trace {
-	if len(pool) == 0 || n <= 0 {
-		return Trace{Name: name}
-	}
-	var total float64
-	for _, c := range mix {
-		if c.Share > 0 {
-			total += c.Share
-		}
-	}
-	rng := xrand.New(seed)
-	t := Trace{Name: name, Entries: make([]TraceEntry, 0, n)}
-	var at float64
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			at += rng.Exp(meanGapCycles)
-		}
-		e := TraceEntry{
-			App:      pool[rng.Intn(len(pool))],
-			ArriveAt: uint64(at),
-			Work:     work,
-		}
-		if total > 0 {
-			// Cumulative-share draw; round-off that walks past the last
-			// eligible class lands on it.
-			r := rng.Float64() * total
-			chosen := -1
-			for idx, c := range mix {
-				if c.Share <= 0 {
-					continue
-				}
-				chosen = idx
-				if r -= c.Share; r < 0 {
-					break
-				}
-			}
-			if chosen >= 0 {
-				e.Priority = mix[chosen].Priority
-				e.Weight = mix[chosen].Weight
-				if mix[chosen].Work > 0 {
-					e.Work = mix[chosen].Work
-				}
-			}
-		}
-		t.Entries = append(t.Entries, e)
-	}
-	return t
+	return Collect(PoissonStreamMixed(name, seed, pool, n, meanGapCycles, work, mix), 0)
 }
 
 // ParseTrace reads a scripted trace. The format is line-oriented:
