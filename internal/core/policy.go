@@ -296,8 +296,9 @@ func (p *Policy) smoothAndRemember(a *Arena, st *machine.QuantumState, est [][]f
 	}
 }
 
-// appID resolves application i's stable identity (dynamic runs hand the
-// live set's identities in AppIDs; closed runs use positions).
+// appID resolves application i's stable identity: the runner hands the
+// live set's identities in AppIDs, and a hand-built state without them
+// uses positions.
 func appID(st *machine.QuantumState, i int) int {
 	if st.AppIDs != nil && i < len(st.AppIDs) {
 		return st.AppIDs[i]

@@ -1,19 +1,18 @@
 // Open-system (dynamic) workload execution: applications arrive over time,
 // run to true completion and depart, and the machine operates at partial
-// occupancy in between. This is the regime the closed-system Run cannot
-// express — it pins exactly len(models) applications for the whole
-// experiment and relaunches them forever — and the one a production
-// allocator on a real ThunderX2 faces (paper §V-A's user-level thread
-// manager under job churn).
+// occupancy in between. The closed-system Run pins exactly len(models)
+// applications for the whole experiment and relaunches them forever; this
+// is the regime a production allocator on a real ThunderX2 faces instead
+// (paper §V-A's user-level thread manager under job churn).
 //
 // Time advances in policy slices. A slice is normally one scheduling
 // quantum, but an arrival that falls inside a quantum cuts the slice short
 // at the arrival cycle, so admission re-invokes the policy off-quantum
 // instead of leaving the newcomer parked until the next boundary.
 //
-// The engine itself lives in runner.go (DynRunner); RunDynamic is the
-// single-machine driver over it, and internal/fleet is the many-machine
-// one.
+// The engine itself lives in runner.go (DynRunner). RunDynamic is its
+// single-machine open-system driver, Run (machine.go) its closed-system
+// driver, and internal/fleet the many-machine one.
 package machine
 
 import (
@@ -274,20 +273,4 @@ func (m *Machine) RunDynamic(work []DynamicApp, policy Policy, opt DynamicOption
 		}
 	}
 	return res, nil
-}
-
-// runQuantumLive executes one slice on the cores that have work, sharded
-// across the run-scoped worker pool when one is active. busy is the
-// caller's reusable scratch.
-func (m *Machine) runQuantumLive(bound [][]int, busy []bool, cycles uint64) {
-	for c := range bound {
-		busy[c] = false
-		for _, gi := range bound[c] {
-			if gi >= 0 {
-				busy[c] = true
-				break
-			}
-		}
-	}
-	m.stepCores(cycles, busy)
 }

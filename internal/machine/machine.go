@@ -5,6 +5,12 @@
 // sched_setaffinity), executes the quantum on every core in parallel, and
 // collects per-application PMU samples.
 //
+// The manager is one run loop, DynRunner (runner.go), with three drivers:
+// Run, the closed §V-B system that keeps every application resident and
+// relaunches it at each target multiple; RunDynamic, the open system whose
+// jobs arrive and depart (dynamic.go); and internal/fleet, which interleaves
+// many machines' runners on one event clock.
+//
 // The paper's manager runs on a 28-core ThunderX2; its 8-application
 // workloads occupy four SMT2 cores. The machine size, SMT level
 // (Config.Core.SMTLevel — the BIOS knob of §V-A, up to the hardware's SMT4)
@@ -15,6 +21,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"synpa/internal/apps"
 	"synpa/internal/obs"
@@ -196,11 +203,12 @@ type QuantumState struct {
 	// change between quanta as applications arrive and depart.
 	NumApps int
 	// AppIDs gives each application's stable identity across quanta. In a
-	// closed-system run it is nil, meaning index i is identity i forever.
-	// In a dynamic run indices are compacted over the live set, so
-	// stateful policies must use AppIDs — not positions — to carry
-	// per-application state across quanta. The slice is owned by the
-	// runner and must not be retained past the Place call.
+	// closed-system run it is 0..NumApps−1: index i is identity i forever,
+	// as it is when a hand-built state leaves AppIDs nil. In a dynamic run
+	// indices are compacted over the live set, so stateful policies must
+	// use AppIDs — not positions — to carry per-application state across
+	// quanta. The slice is owned by the runner and must not be retained
+	// past the Place call.
 	AppIDs []int
 	// Prev is the placement executed during the previous quantum; nil
 	// before the first quantum. In a dynamic run entries may be
@@ -211,10 +219,10 @@ type QuantumState struct {
 	// Counters value marks an application that has not run yet.
 	Samples []pmu.Counters
 	// Priorities holds each application's priority class (higher = more
-	// urgent) in a dynamic run, parallel to the live set, so placement
-	// policies can discriminate by class. Nil in closed-system runs,
-	// where every application is class 0. Owned by the runner; must not
-	// be retained past the Place call.
+	// urgent), parallel to the live set, so placement policies can
+	// discriminate by class. In a closed-system run every application is
+	// class 0; a hand-built state may leave it nil. Owned by the runner;
+	// must not be retained past the Place call.
 	Priorities []int
 	// DispatchWidth is the core dispatch width (for characterization).
 	DispatchWidth int
@@ -329,12 +337,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // NumCores returns the core count.
 func (m *Machine) NumCores() int { return len(m.cores) }
 
-// runQuantum executes one quantum on every core, sharded across the
-// run-scoped worker pool when one is active.
-func (m *Machine) runQuantum() {
-	m.stepCores(m.cfg.QuantumCycles, nil)
-}
-
 // RunnerOptions tune a workload run.
 type RunnerOptions struct {
 	// Seed derives every application's private random stream.
@@ -353,23 +355,16 @@ type RunnerOptions struct {
 // DefaultMaxQuanta caps runaway executions.
 const DefaultMaxQuanta = 20_000
 
-// appState is the runner's bookkeeping for one application.
-type appState struct {
-	inst        *apps.Instance
-	bank        *pmu.Bank
-	target      uint64
-	prevSnap    pmu.Counters
-	completedAt uint64
-	completedQ  int
-	launches    uint64 // completed target multiples so far
-}
-
 // Run executes the given applications under a policy until every app
 // reaches its instruction target (relaunching completed apps to keep the
 // machine loaded, per §V-B) or MaxQuanta elapses.
 //
 // targets[i] is the retired-instruction target of models[i]; a zero target
 // means "run for the whole experiment without a completion time".
+//
+// Run drives a DynRunner in which every app arrives at cycle 0 under its
+// index and never departs: at each multiple of its target the driver
+// records the first completion and relaunches the app in place.
 func (m *Machine) Run(models []*apps.Model, targets []uint64, policy Policy, opt RunnerOptions) (*Result, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("machine: no applications")
@@ -377,8 +372,12 @@ func (m *Machine) Run(models []*apps.Model, targets []uint64, policy Policy, opt
 	if len(targets) != len(models) {
 		return nil, fmt.Errorf("machine: %d targets for %d applications", len(targets), len(models))
 	}
-	level := m.cfg.Core.Level()
-	if hwThreads := len(m.cores) * level; len(models) > hwThreads {
+	for i, mod := range models {
+		if mod == nil {
+			return nil, fmt.Errorf("machine: app %d has no model", i)
+		}
+	}
+	if hwThreads := m.cfg.HWThreads(); len(models) > hwThreads {
 		return nil, fmt.Errorf("machine: %d applications exceed %d hardware threads", len(models), hwThreads)
 	}
 	maxQuanta := opt.MaxQuanta
@@ -386,245 +385,90 @@ func (m *Machine) Run(models []*apps.Model, targets []uint64, policy Policy, opt
 		maxQuanta = DefaultMaxQuanta
 	}
 
-	anyTarget := false
-	for _, tgt := range targets {
-		if tgt > 0 {
-			anyTarget = true
-			break
-		}
-	}
-
-	states := make([]*appState, len(models))
-	for i, mod := range models {
-		st := &appState{
-			inst:       apps.NewInstance(mod, opt.Seed+uint64(i)*0x9e3779b97f4a7c15+1),
-			bank:       &pmu.Bank{},
-			target:     targets[i],
-			completedQ: -1,
-		}
-		st.bank.Enable()
-		states[i] = st
-	}
-
 	res := &Result{
-		Policy:        policy.Name(),
 		QuantumCycles: m.cfg.QuantumCycles,
+		Apps:          make([]AppResult, len(models)),
 		// Typical runs finish within a few hundred quanta; pre-sizing the
 		// per-quantum records avoids most of the append regrowth without
 		// committing MaxQuanta-sized buffers up front.
 		Placements: make([]Placement, 0, 256),
 	}
-
-	var prev Placement
-	// The per-quantum sample vectors double-buffer: the policy reads the
-	// previous quantum's deltas while the new ones are collected, so two
-	// buffers suffice — unless the caller wants the whole trace, in which
-	// case each quantum's vector is retained in the Result and must be
-	// freshly allocated.
-	samples := make([]pmu.Counters, len(models))
-	spare := make([]pmu.Counters, len(models))
-	var havePrev bool
-
-	// The QuantumState is reused across quanta; policies receive it for
-	// the duration of one Place call only.
-	st := &QuantumState{
-		NumCores:      len(m.cores),
-		NumApps:       len(models),
-		DispatchWidth: m.cfg.Core.DispatchWidth,
-		SMTLevel:      level,
+	r, err := NewDynRunner(m, policy, DynRunnerOptions{
+		Seed: opt.Seed,
+		Obs:  opt.Obs.Machine(0),
+		OnPlace: func(_ []int, place Placement) {
+			res.Placements = append(res.Placements, place.Clone())
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Policy = policy.Name()
+	r.closed = true
+	anyTarget := false
+	for i, mod := range models {
+		res.Apps[i] = AppResult{Name: mod.Name, Target: targets[i], CompletedAtQuantum: -1}
+		anyTarget = anyTarget || targets[i] > 0
+		r.Arrive(DynamicApp{Model: mod, Target: math.MaxUint64}, i)
 	}
 
 	// The intra-run worker pool lives for exactly this run.
 	stopPool := m.startPool()
 	defer stopPool()
 
-	// Observability: the closed system is machine 0; per-quantum engine
-	// deltas are observed only when tracing or metrics are live.
-	view := opt.Obs.Machine(0)
-	mt := view.Trace()
-	rc := view.Counters()
-	var prevEngine []smtcore.EngineStats
-	if mt != nil || rc.Enabled() {
-		prevEngine = make([]smtcore.EngineStats, len(m.cores))
-		for c := range m.cores {
-			prevEngine[c] = m.cores[c].EngineStats()
+	// Every app is admitted at cycle 0 in index order, so live position i
+	// is app i for the whole run.
+	launches := make([]uint64, len(models)) // completed target multiples
+	maxCycles := uint64(maxQuanta) * m.cfg.QuantumCycles
+	for r.Now() < maxCycles {
+		if err := r.BeginSlice(maxCycles); err != nil {
+			return nil, err
 		}
-	}
-
-	// Placement clones are carved from chunked backing arrays instead of
-	// one small allocation per quantum.
-	var cloneArena []int
-
-	for q := 0; q < maxQuanta; q++ {
-		st.Quantum = q
-		st.Prev, st.Samples = nil, nil
-		if havePrev {
-			st.Prev = prev
-			st.Samples = samples
-		}
-		t0 := perfstat.PhaseClock()
-		place := policy.Place(st)
-		perfstat.PhaseAdd(perfstat.PhasePolicy, t0)
-		if len(place) != len(models) {
-			return nil, fmt.Errorf("machine: policy %s returned %d placements for %d apps",
-				policy.Name(), len(place), len(models))
-		}
-		if err := place.Validate(len(m.cores), level); err != nil {
-			return nil, fmt.Errorf("machine: policy %s: %w", policy.Name(), err)
-		}
-		rebinds := m.applyPlacement(states, place, prev)
-		rc.PlaceCalls.Add(1)
-		rc.Rebinds.Add(int64(rebinds))
-		if mt != nil {
-			mt.Emit(obs.Event{T: uint64(q) * m.cfg.QuantumCycles, Op: obs.OpPlace, Core: -1, App: -1, A: int64(q), B: int64(rebinds)})
-		}
-		if len(cloneArena) < len(place) {
-			cloneArena = make([]int, 256*len(place))
-		}
-		clone := Placement(cloneArena[:len(place):len(place)])
-		cloneArena = cloneArena[len(place):]
-		copy(clone, place)
-		res.Placements = append(res.Placements, clone)
-
-		t0 = perfstat.PhaseClock()
-		m.runQuantum()
-		perfstat.PhaseAdd(perfstat.PhaseSimulation, t0)
-		res.Quanta++
-
-		nowCycle := uint64(res.Quanta) * m.cfg.QuantumCycles
-		newSamples := spare
+		r.StepPlanned()
+		r.FinishSlice(nil)
+		r.FlushObs() // quantum barrier: drain the trace shard in order
 		if opt.RecordTrace {
-			newSamples = make([]pmu.Counters, len(models))
+			samples := make([]pmu.Counters, len(models))
+			for i, si := range r.live {
+				samples[i] = r.slots[si].lastDelta
+			}
+			res.Samples = append(res.Samples, samples)
 		}
+
 		allDone := anyTarget
-		for i, s := range states {
-			snap := s.bank.Read()
-			newSamples[i] = snap.Delta(s.prevSnap)
-			s.prevSnap = snap
-
-			if s.target > 0 {
-				if done := s.inst.Retired / s.target; done > s.launches {
-					if s.completedAt == 0 {
-						s.completedAt = nowCycle
-						s.completedQ = res.Quanta - 1
-					}
-					s.launches = done
-					s.inst.Relaunch()
-				}
-				if s.completedAt == 0 {
-					allDone = false
-				}
+		for i, si := range r.live {
+			s := &r.slots[si]
+			a := &res.Apps[i]
+			if a.Target == 0 {
+				continue
 			}
-		}
-		rc.Slices.Add(1)
-		if prevEngine != nil {
-			var dStep, dSpan, dFF int64
-			for c := range m.cores {
-				es := m.cores[c].EngineStats()
-				pe := prevEngine[c]
-				prevEngine[c] = es
-				dStep += int64(es.StepCycles - pe.StepCycles)
-				dSpan += int64(es.SpanCycles - pe.SpanCycles)
-				ff := int64(es.FFCycles - pe.FFCycles)
-				dFF += ff
-				if mt == nil {
-					continue
+			if done := s.inst.Retired / a.Target; done > launches[i] {
+				if a.CompletedAtCycle == 0 {
+					a.CompletedAtCycle = r.Now()
+					a.CompletedAtQuantum = r.Slices() - 1
 				}
-				// Exec spans, one per occupied hardware thread: occupants
-				// of core c in app order, mirroring applyPlacement's slot
-				// assignment.
-				slot := 0
-				for app, pc := range place {
-					if pc != c || slot >= level {
-						continue
-					}
-					mt.Emit(obs.Event{
-						T: nowCycle - m.cfg.QuantumCycles, Dur: m.cfg.QuantumCycles, Op: obs.OpExec,
-						Core: int32(c*level + slot), App: int64(app), Name: models[app].Name,
-						A: int64(newSamples[app][pmu.InstRetired]), B: ff,
-					})
-					slot++
-				}
+				launches[i] = done
+				s.inst.Relaunch()
 			}
-			rc.StepCycles.Add(dStep)
-			rc.SpanCycles.Add(dSpan)
-			rc.FFCycles.Add(dFF)
-			mt.Flush() // quantum barrier: drain the shard in order
+			allDone = allDone && a.CompletedAtCycle > 0
 		}
-		spare = samples
-		samples = newSamples
-		havePrev = true
-		if opt.RecordTrace {
-			res.Samples = append(res.Samples, newSamples)
-		}
-		prev = clone
 		if allDone {
 			break
 		}
 	}
+	res.Quanta = r.Slices()
 
 	res.AllCompleted = true
-	for i, s := range states {
-		ar := AppResult{
-			Name:               models[i].Name,
-			Target:             s.target,
-			CompletedAtCycle:   s.completedAt,
-			CompletedAtQuantum: s.completedQ,
-			Retired:            s.inst.Retired,
-		}
-		if s.completedAt > 0 {
-			ar.IPC = float64(s.target) / float64(s.completedAt)
-		} else if s.target > 0 {
+	for i, si := range r.live {
+		a := &res.Apps[i]
+		a.Retired = r.slots[si].inst.Retired
+		if a.CompletedAtCycle > 0 {
+			a.IPC = float64(a.Target) / float64(a.CompletedAtCycle)
+		} else if a.Target > 0 {
 			res.AllCompleted = false
 		}
-		res.Apps = append(res.Apps, ar)
 	}
 	return res, nil
-}
-
-// applyPlacement rebinds only the cores whose application set changed,
-// preserving pipeline state on unchanged cores (migrations flush state, a
-// stable pairing does not). It returns the number of threads that received
-// an application — the placement's rebind cost.
-func (m *Machine) applyPlacement(states []*appState, place, prev Placement) int {
-	level := m.cfg.Core.Level()
-	cur := make([]int, level)
-	rebinds := 0
-	for core := 0; core < len(m.cores); core++ {
-		if prev != nil && sameSet(core, place, prev) {
-			continue
-		}
-		n := 0
-		for app, c := range place {
-			if c == core && n < level {
-				cur[n] = app
-				n++
-			}
-		}
-		for slot := 0; slot < level; slot++ {
-			if slot < n {
-				m.cores[core].Bind(slot, states[cur[slot]].inst, states[cur[slot]].bank)
-				rebinds++
-			} else {
-				m.cores[core].Bind(slot, nil, nil)
-			}
-		}
-	}
-	return rebinds
-}
-
-// sameSet reports whether core hosts exactly the same apps in both
-// placements.
-func sameSet(core int, a, b Placement) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for app := range a {
-		if (a[app] == core) != (b[app] == core) {
-			return false
-		}
-	}
-	return true
 }
 
 // RunIsolated executes a single application alone on a one-core machine for

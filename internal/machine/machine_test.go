@@ -222,6 +222,14 @@ func TestRunErrors(t *testing.T) {
 	if _, err := m.Run(nModels(9), make([]uint64, 9), staticPolicy{}, RunnerOptions{}); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
+	if _, err := m.Run(nModels(2), make([]uint64, 2), nil, RunnerOptions{}); err == nil || err.Error() != "machine: nil policy" {
+		t.Fatalf("nil policy: err = %v", err)
+	}
+	models := nModels(3)
+	models[1] = nil
+	if _, err := m.Run(models, make([]uint64, 3), staticPolicy{}, RunnerOptions{}); err == nil || err.Error() != "machine: app 1 has no model" {
+		t.Fatalf("nil model: err = %v", err)
+	}
 }
 
 type badPolicy struct{ wrongLen bool }

@@ -1,10 +1,12 @@
-// DynRunner is the open-system engine of RunDynamic factored into explicit
-// steps — Arrive, BeginSlice, Cut, StepPlanned, FinishSlice, SkipTo — so a
-// cluster coordinator (internal/fleet) can interleave many machines on one
-// global event clock. RunDynamic drives a single runner through exactly the
-// historical loop, bit for bit (pinned by the golden digests in
-// internal/regression); the fleet drives hundreds, cutting and planning
-// slices lazily at dispatch time.
+// DynRunner is the machine's one run loop, factored into explicit steps —
+// Arrive, BeginSlice, Cut, StepPlanned, FinishSlice, SkipTo — so that three
+// drivers share it. Run drives one runner as the closed §V-B system: every
+// app arrives at cycle 0, never departs and is relaunched in place at each
+// target multiple, under the closed system's binding and stepping rules
+// (the closed field). RunDynamic drives one runner as the open system, and
+// the fleet drives hundreds on one global event clock, cutting and planning
+// slices lazily at dispatch time. The golden digests in internal/regression
+// pin all three bit for bit.
 //
 // The step protocol, per machine:
 //
@@ -35,6 +37,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"synpa/internal/admission"
 	"synpa/internal/apps"
@@ -141,6 +144,12 @@ type DynRunner struct {
 
 	planned bool
 	planEnd uint64
+
+	// closed selects the closed §V-B system's two modelling rules (set only
+	// by Machine.Run): a core whose occupant set changes is rebound whole
+	// (bindWhole), and every core is stepped every slice, idle or not,
+	// because an idle core still rotates its issue priority.
+	closed bool
 
 	// Observability (see internal/obs). mt is nil when tracing is off; rc
 	// is never nil but may be the disabled no-op set. cacheStats is the
@@ -437,7 +446,12 @@ func (r *DynRunner) BeginSlice(maxCycles uint64) error {
 	for i, si := range r.live {
 		r.slots[si].coreOf = place[i]
 	}
-	rebinds := r.bindLive(place)
+	var rebinds int
+	if r.closed {
+		rebinds = r.bindWhole(place)
+	} else {
+		rebinds = r.bindLive(place)
+	}
 	if r.mt != nil || r.rc.Enabled() {
 		r.observePlace(rebinds)
 	}
@@ -472,8 +486,15 @@ func (r *DynRunner) StepPlanned() {
 	if !r.planned {
 		panic("machine: StepPlanned without a planned slice")
 	}
+	var busy []bool // nil steps every core: the closed system's rule
+	if !r.closed {
+		busy = r.busy
+		for c, bound := range r.bound {
+			busy[c] = slices.Max(bound) >= 0 // some thread is bound
+		}
+	}
 	t0 := perfstat.PhaseClock()
-	r.m.runQuantumLive(r.bound, r.busy, r.planEnd-r.now)
+	r.m.stepCores(r.planEnd-r.now, busy)
 	perfstat.PhaseAdd(perfstat.PhaseSimulation, t0)
 }
 
@@ -639,6 +660,43 @@ func (r *DynRunner) bindLive(place Placement) int {
 					rebinds++
 					break
 				}
+			}
+		}
+	}
+	return rebinds
+}
+
+// bindWhole is the closed system's binding rule. A core whose occupant set
+// changed — every core on the first placement — is rebound whole, thread k
+// taking the core's k-th occupant in live order, so an occupant that stays
+// loses its pipeline state too and draws a fresh event window; unchanged
+// cores keep theirs. It returns the number of threads that received an
+// occupant.
+func (r *DynRunner) bindWhole(place Placement) int {
+	rebinds := 0
+	want := make([]int, r.level)
+	for c, bound := range r.bound {
+		n := 0
+		same := r.ranAny
+		for i, si := range r.live {
+			if place[i] == c && n < r.level {
+				want[n] = si
+				same = same && bound[n] == si
+				n++
+			}
+		}
+		if same && (n == r.level || bound[n] < 0) {
+			continue
+		}
+		for k := range bound {
+			if k < n {
+				s := &r.slots[want[k]]
+				r.m.cores[c].Bind(k, s.inst, s.bank)
+				bound[k] = want[k]
+				rebinds++
+			} else {
+				r.m.cores[c].Bind(k, nil, nil)
+				bound[k] = -1
 			}
 		}
 	}

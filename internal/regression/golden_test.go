@@ -203,11 +203,12 @@ func TestGoldenDigestsUnchangedWithSharedCache(t *testing.T) {
 // zero-perturbation claim at the digest level: running a golden experiment
 // with a live observer attached must reproduce the committed digest bit
 // for bit, while actually collecting events. The dynamic table exercises
-// the instrumented DynRunner lifecycle end to end; tracing forces a serial
-// suite (the event trace is not parallel-safe — see experiments.Config.Obs).
+// the open-system drivers and fig5 the closed-system one (Machine.Run),
+// each over the instrumented DynRunner; tracing forces a serial suite (the
+// event trace is not parallel-safe — see experiments.Config.Obs).
 func TestGoldenDigestsUnchangedWithTracing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the dynamic golden experiment; skipped in -short")
+		t.Skip("runs the dynamic and fig5 golden experiments; skipped in -short")
 	}
 	buf, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
 	if err != nil {
@@ -218,23 +219,34 @@ func TestGoldenDigestsUnchangedWithTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := goldenConfig()
-	cfg.Parallel = false
-	cfg.Obs = obs.NewObserver(0)
-	s := experiments.NewSuite(cfg)
-	tab, err := s.DynamicTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(tab.String()))
-	if got := hex.EncodeToString(sum[:]); got != want.Digests["dynamic"] {
-		t.Fatalf("tracing perturbed the dynamic digest\n  committed: %s\n  got:       %s\n%s",
-			want.Digests["dynamic"], got, tab.String())
-	}
-	if len(cfg.Obs.Trace.Events()) == 0 {
-		t.Fatal("observer attached but no events collected — the pin is vacuous")
-	}
-	if cfg.Obs.Reg.Snapshot().Counters["jobs.completed"] == 0 {
-		t.Fatal("observer attached but no counters accrued")
+	for _, tc := range []struct {
+		name     string
+		run      func(*experiments.Suite) (*experiments.Table, error)
+		counters []string // must accrue under the observer
+	}{
+		{"dynamic", (*experiments.Suite).DynamicTable, []string{"jobs.completed"}},
+		{"fig5", (*experiments.Suite).Fig5, []string{"machine.slices", "policy.place_calls"}},
+	} {
+		cfg := goldenConfig()
+		cfg.Parallel = false
+		cfg.Obs = obs.NewObserver(0)
+		tab, err := tc.run(experiments.NewSuite(cfg))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sum := sha256.Sum256([]byte(tab.String()))
+		if got := hex.EncodeToString(sum[:]); got != want.Digests[tc.name] {
+			t.Fatalf("tracing perturbed the %s digest\n  committed: %s\n  got:       %s\n%s",
+				tc.name, want.Digests[tc.name], got, tab.String())
+		}
+		if len(cfg.Obs.Trace.Events()) == 0 {
+			t.Fatalf("%s: observer attached but no events collected — the pin is vacuous", tc.name)
+		}
+		counters := cfg.Obs.Reg.Snapshot().Counters
+		for _, c := range tc.counters {
+			if counters[c] == 0 {
+				t.Fatalf("%s: observer attached but %s did not accrue", tc.name, c)
+			}
+		}
 	}
 }
