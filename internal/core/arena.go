@@ -15,6 +15,7 @@ package core
 // same CacheStats they always had.
 
 import (
+	"synpa/internal/grouping"
 	"synpa/internal/matching"
 	"synpa/internal/predcache"
 )
@@ -63,6 +64,9 @@ type Arena struct {
 	// O(n²) edge matrix is the dominant per-decision allocation, and
 	// recycling it is bit-identical (matching.Workspace).
 	mws matching.Workspace
+	// gws is the partition search's reusable working memory at every SMT
+	// level but 2 (grouping.Workspace); reuse is bit-identical too.
+	gws grouping.Workspace
 
 	// memo memoizes inversions, pair predictions and whole Blossom
 	// matchings: private stores, or a handle onto the policy's shared
@@ -103,7 +107,7 @@ func (a *Arena) LastSTEstimates() [][]float64 { return a.lastST }
 // Reset clears the arena's cross-request decision history — the smoothing
 // estimates and their identities — so a pooled arena serves its next
 // request exactly like a freshly built one. Everything else survives on
-// purpose: the scratch matrices and the Blossom workspace are
+// purpose: the scratch matrices and the solver workspaces are
 // size-recycled buffers whose contents are fully overwritten per decision,
 // and the prediction/matching memos are exact-bit-keyed caches of pure
 // functions, so keeping them warm changes speed, never a result bit (the

@@ -87,11 +87,11 @@ func (a *Arena) coRunnerMean(frac [][]float64, g []int, i int) []float64 {
 // w, in canonical order (members ascending, groups by smallest member),
 // with their cost under grouping.PartitionCost. At SMT2 it runs the
 // configured, memoized matcher on the idle-padded graph; at every other
-// level it runs grouping.Partition.
+// level it runs grouping.Partition through the arena's workspace.
 func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo float64) ([][]int, float64, error) {
 	if level != 2 {
 		t0 := perfstat.PhaseClock()
-		res, err := grouping.Partition(w, numCores, level, p.opt.Grouping)
+		res, err := a.gws.Partition(w, numCores, level, p.opt.Grouping)
 		perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
 		if err != nil {
 			return nil, 0, err

@@ -72,7 +72,8 @@ type PolicyOptions struct {
 	Inversion InversionOptions
 	// Grouping tunes the set-partition solver used at every SMT level but
 	// two (internal/grouping); the zero value gives the production
-	// defaults (exact for small live sets, greedy + local search beyond).
+	// defaults (the exact partition search, with the subset DP on ties,
+	// for small live sets; greedy + local search beyond).
 	// Its solo cost prices an application running alone at every level,
 	// the idle-slot edges of the SMT2 matching included.
 	Grouping grouping.Options

@@ -26,11 +26,16 @@
 // and runs the same solver behind its matching memo; it calls Partition at
 // every other level.
 //
-// Solvers. Two deterministic solvers sit behind Partition:
+// Solvers. Three deterministic solvers sit behind Partition:
 //
+//   - an exact depth-first partition search (search.go), which places the
+//     apps in index order into open groups or new ones, prunes on valid
+//     lower bounds and answers whenever its optimum is clearly unique;
 //   - an exact subset dynamic program over group bitmasks, O(n · 2ⁿ ·
-//     C(n, L−1)) time — practical to n ≈ 16 and the cross-validation
-//     oracle for the tests;
+//     C(n, L−1)) time, which answers when the search finds a near-tie, so
+//     its tie-breaking decides every tied instance, and which is the
+//     search's test oracle — the two return the same groups and a
+//     bit-equal cost whenever the search answers;
 //   - a greedy seeding plus steepest-descent local search (single-app moves
 //     and pairwise swaps) for larger n, whose cost the property tests bound
 //     from below by the exact optimum.
@@ -40,7 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"synpa/internal/matching"
 )
@@ -50,11 +55,27 @@ import (
 // the SYNPA policy assigns to a real-app/idle-slot pairing.
 const DefaultSoloCost = 1.0
 
-// DefaultMaxExactN is the largest n SolverAuto hands to the exact subset DP.
+// DefaultMaxExactN is the largest n SolverAuto hands to the exact solvers.
+// BenchmarkPartition measured them on continuous random costs on a 2-CPU
+// x86-64 host (time per call, allocations per call):
+//
+//	apps, machine     search          subset DP         greedy
+//	 8, 2 × SMT4       3.1 µs, 3       111 µs, 13        3.1 µs, 9
+//	12, 3 × SMT4       186 µs, 3       7.4 ms, 17        9.8 µs, 12
+//	12, 4 × SMT3       289 µs, 3       5.2 ms, 20        3.7 µs, 15
+//	 9, 6 × SMT3       7.2 µs, 3       561 µs, 18        5.0 µs, 13
+//	10, 4 × SMT4       109 µs, 3       1.6 ms, 18        7.9 µs, 14
+//	16, 4 × SMT4       15.7 ms, 3      397 ms, 20        12 µs, 15
+//
+// The search is 15–78× faster than the DP at every shape, but at 16 apps
+// one decision still takes 16 ms, over a thousand times greedy's, and
+// raising the ceiling would change placements above 12 apps. So it stays
+// at 12.
 const DefaultMaxExactN = 12
 
-// maxExactHard bounds the exact DP outright: beyond 16 vertices the mask
-// tables stop fitting in reasonable memory.
+// maxExactHard bounds the exact solvers outright: beyond 16 vertices the
+// DP's mask tables, which the search falls back to on ties, stop fitting in
+// reasonable memory.
 const maxExactHard = 16
 
 // Errors returned by Partition.
@@ -71,10 +92,12 @@ var (
 type Solver int
 
 const (
-	// SolverAuto uses the exact DP up to Options.MaxExactN applications
-	// and the greedy + local-search solver beyond.
+	// SolverAuto uses the exact solvers (the search, the DP on ties) up to
+	// Options.MaxExactN applications and the greedy + local-search solver
+	// beyond.
 	SolverAuto Solver = iota
-	// SolverExact forces the exact subset DP.
+	// SolverExact forces the exact solvers: the search, and the subset DP
+	// when the search finds a near-tie.
 	SolverExact
 	// SolverGreedy forces the greedy + local-search solver.
 	SolverGreedy
@@ -97,7 +120,7 @@ func (s Solver) String() string {
 type Options struct {
 	// Solver selects the algorithm (default SolverAuto).
 	Solver Solver
-	// MaxExactN is the auto-solver's exact-DP size ceiling (default
+	// MaxExactN is the auto-solver's exact size ceiling (default
 	// DefaultMaxExactN).
 	MaxExactN int
 	// SoloCost is the cost of a one-application group; zero selects
@@ -125,8 +148,9 @@ type Result struct {
 	// (PartitionCost), independent of the solver that produced it.
 	Cost float64
 	// Solver names the algorithm that produced the partition: "matching"
-	// (the L = 2 route through matching.MinWeightPaddedMatching), "exact"
-	// or "greedy".
+	// (the L = 2 route through matching.MinWeightPaddedMatching), "search"
+	// (the partition search), "exact" (the subset DP, and the forced
+	// partitions of L = 1 and n = 0) or "greedy".
 	Solver string
 }
 
@@ -134,6 +158,13 @@ type Result struct {
 // the symmetric cost matrix w into at most maxGroups groups of at most
 // level members each. It is deterministic: equal inputs give equal outputs.
 func Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error) {
+	return (*Workspace)(nil).Partition(w, maxGroups, level, opt)
+}
+
+// Partition is the package-level Partition run through the workspace's
+// reusable search memory. Its results are identical; only the allocation
+// count differs.
+func (ws *Workspace) Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error) {
 	n := len(w)
 	if err := checkMatrix(w); err != nil {
 		return nil, err
@@ -173,12 +204,12 @@ func Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error
 		if n > maxExactHard {
 			return nil, ErrTooLarge
 		}
-		return solveExact(w, maxGroups, level, solo), nil
+		return ws.exact(w, maxGroups, level, solo), nil
 	case SolverGreedy:
 		return solveGreedy(w, maxGroups, level, solo), nil
 	default:
 		if n <= maxExact && n <= maxExactHard {
-			return solveExact(w, maxGroups, level, solo), nil
+			return ws.exact(w, maxGroups, level, solo), nil
 		}
 		return solveGreedy(w, maxGroups, level, solo), nil
 	}
@@ -240,10 +271,10 @@ func canonicalize(groups [][]int) [][]int {
 		if len(g) == 0 {
 			continue
 		}
-		sort.Ints(g)
+		slices.Sort(g)
 		out = append(out, g)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
+	slices.SortFunc(out, func(a, b []int) int { return a[0] - b[0] })
 	return out
 }
 

@@ -269,3 +269,50 @@ func TestRunDynamicNeverAdmittedCountsDeferred(t *testing.T) {
 		t.Fatalf("admitted = %d, want 8", admitted)
 	}
 }
+
+// TestReusedMachineStartsEmpty runs a dynamic workload on a machine an
+// earlier closed Run left fully bound, and demands the per-job outcomes of
+// a fresh machine: a runner must start with every core's threads empty, or
+// the earlier run's instances keep running beside the new jobs.
+func TestReusedMachineStartsEmpty(t *testing.T) {
+	work := func() []DynamicApp {
+		return []DynamicApp{
+			{Model: mustApp(t, "mcf"), Target: 100_000},
+			{Model: mustApp(t, "leela_r"), Target: 100_000},
+			{Model: mustApp(t, "lbm_r"), Target: 100_000, ArriveAt: 7_500},
+		}
+	}
+	fresh, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.RunDynamic(work(), fillPolicy{}, DynamicOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reused, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"mcf", "leela_r", "lbm_r", "gobmk", "povray_r", "milc", "namd_r", "perlbench"}
+	models := make([]*apps.Model, len(names))
+	targets := make([]uint64, len(names))
+	for i, name := range names {
+		models[i], targets[i] = mustApp(t, name), 1<<40
+	}
+	if _, err := reused.Run(models, targets, spreadPolicy{}, RunnerOptions{Seed: 1, MaxQuanta: 3}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := reused.RunDynamic(work(), fillPolicy{}, DynamicOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Apps {
+		if got.Apps[i].ResponseCycles != want.Apps[i].ResponseCycles || got.Apps[i].Retired != want.Apps[i].Retired {
+			t.Errorf("%s on a reused machine: response %d, retired %d; fresh machine: %d, %d",
+				want.Apps[i].Name, got.Apps[i].ResponseCycles, got.Apps[i].Retired,
+				want.Apps[i].ResponseCycles, want.Apps[i].Retired)
+		}
+	}
+}

@@ -164,8 +164,9 @@ type DynRunner struct {
 	prevEngine []smtcore.EngineStats
 }
 
-// NewDynRunner builds a runner over the machine. The machine must not be
-// shared between runners or concurrent runs.
+// NewDynRunner builds a runner over the machine and unbinds every thread
+// an earlier run left bound. The machine must not be shared between runners
+// or concurrent runs.
 func NewDynRunner(m *Machine, policy Policy, opt DynRunnerOptions) (*DynRunner, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("machine: nil policy")
@@ -191,6 +192,9 @@ func NewDynRunner(m *Machine, policy Policy, opt DynRunnerOptions) (*DynRunner, 
 		r.bound[c] = make([]int, level)
 		for s := range r.bound[c] {
 			r.bound[c][s] = -1
+			if m.cores[c].Instance(s) != nil {
+				m.cores[c].Bind(s, nil, nil)
+			}
 		}
 	}
 	r.mt = opt.Obs.Trace()
