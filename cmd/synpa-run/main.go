@@ -261,9 +261,8 @@ func printFleetReport(r *synpa.FleetReport) {
 		if pc.Shared {
 			scope = "fleet-shared"
 		}
-		fmt.Printf("predcache (%s): invert %d/%d hits  pair %d/%d hits  resident %d+%d\n",
-			scope, pc.InvertHits, pc.InvertHits+pc.InvertMisses,
-			pc.PairHits, pc.PairHits+pc.PairMisses, pc.InvertEntries, pc.PairEntries)
+		fmt.Printf("predcache (%s): invert %d/%d hits  resident %d\n",
+			scope, pc.InvertHits, pc.InvertHits+pc.InvertMisses, pc.InvertEntries)
 	}
 	for _, c := range r.PerClass {
 		fmt.Printf("  class %d (weight %.1f): %d/%d done  ANTT=%.3f  mean resp=%.0f  p95=%.0f\n",

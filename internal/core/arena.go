@@ -1,10 +1,10 @@
 package core
 
 // The reentrant policy path. A trained Policy is read-mostly after
-// construction: the model, the resolved options and the memo closures never
+// construction: the model, the resolved options and the memo closure never
 // change. Everything that *does* mutate during a placement decision — the
 // estimate double buffer, the weight matrix, the smoothing history, the
-// grouping scratch and the cache handles — lives in an Arena, so one policy
+// grouping scratch and the memo handle — lives in an Arena, so one policy
 // can serve many concurrent PlaceR calls share-nothing: each request (or
 // serving goroutine) carries its own Arena, while the model and an optional
 // predcache.Shared are shared read-mostly underneath.
@@ -21,10 +21,10 @@ import (
 )
 
 // Arena is the per-request mutable state of one placement stream: scratch
-// matrices, the cross-quantum smoothing history, and this stream's cache
-// handles. An Arena is NOT safe for concurrent use — the concurrency model
-// is one arena per goroutine, many arenas per policy. Build one with
-// Policy.NewArena.
+// matrices, the cross-quantum smoothing history, and this stream's
+// inversion memo handle. An Arena is NOT safe for concurrent use — the
+// concurrency model is one arena per goroutine, many arenas per policy.
+// Build one with Policy.NewArena.
 //
 // The smoothing history (lastST, lastIDs) is per-arena on purpose: each
 // serving stream tracks the machine it is deciding for, so interleaved
@@ -68,15 +68,14 @@ type Arena struct {
 	// level but 2 (grouping.Workspace); reuse is bit-identical too.
 	gws grouping.Workspace
 
-	// memo memoizes inversions, pair predictions and whole Blossom
-	// matchings: private stores, or a handle onto the policy's shared
-	// cache (matchings stay private either way; see predcache.Handle).
+	// memo memoizes Step 1's inversions: a private store, or a handle
+	// onto the policy's shared cache.
 	memo *predcache.Handle
 }
 
-// NewArena builds a fresh request arena: private caches when the policy
-// has no shared cache installed, a per-request handle onto the shared
-// cache otherwise.
+// NewArena builds a fresh request arena: a private inversion memo when the
+// policy has no shared cache installed, a per-request handle onto the
+// shared cache otherwise.
 func (p *Policy) NewArena() *Arena {
 	a := &Arena{}
 	p.initArena(a)
@@ -91,8 +90,8 @@ func (p *Policy) initArena(a *Arena) {
 	a.memo = predcache.New(p.opt.Cache)
 }
 
-// CacheStats returns the arena's own memo traffic (its handle-local counts
-// when backed by a shared cache).
+// CacheStats returns the arena's own inversion memo traffic (its
+// handle-local counts when backed by a shared cache); pair is always zero.
 func (a *Arena) CacheStats() (invert, pair predcache.Stats) {
 	return a.memo.Stats()
 }
@@ -109,9 +108,9 @@ func (a *Arena) LastSTEstimates() [][]float64 { return a.lastST }
 // request exactly like a freshly built one. Everything else survives on
 // purpose: the scratch matrices and the solver workspaces are
 // size-recycled buffers whose contents are fully overwritten per decision,
-// and the prediction/matching memos are exact-bit-keyed caches of pure
-// functions, so keeping them warm changes speed, never a result bit (the
-// predcache package-comment argument). This is what makes serving-pool
+// and the inversion memo is an exact-bit-keyed cache of a pure function,
+// so keeping it warm changes speed, never a result bit (the predcache
+// package-comment argument). This is what makes serving-pool
 // reuse bit-identical to one-arena-per-request.
 func (a *Arena) Reset() {
 	a.lastST = nil
@@ -136,10 +135,10 @@ func (p *Policy) SetSharedCache(c *predcache.Shared) {
 // deltas are schedule-independent (private) or not (shared).
 func (p *Policy) SharedCache() *predcache.Shared { return p.shared }
 
-// CacheEntries returns the resident entry counts of the default arena's
-// caches (the whole shared cache's when one is installed — entries are
-// global there by design).
-func (p *Policy) CacheEntries() (invert, pair int) {
+// CacheEntries returns the resident entry count of the default arena's
+// inversion memo (the whole shared cache's when one is installed —
+// entries are global there by design).
+func (p *Policy) CacheEntries() int {
 	return p.def.memo.Entries()
 }
 

@@ -13,6 +13,7 @@ import (
 	"synpa/internal/machine"
 	"synpa/internal/pmu"
 	"synpa/internal/predcache"
+	"synpa/internal/xrand"
 )
 
 // drivePlacements replays a deterministic synthetic workload of `quanta`
@@ -180,5 +181,73 @@ func TestArenaResetPoolReuse(t *testing.T) {
 	// And against a genuinely fresh arena, for the same stream.
 	if fresh := run(p.NewArena()); !reflect.DeepEqual(fresh, first) {
 		t.Fatalf("fresh arena diverged from pooled arena")
+	}
+}
+
+// placeShapes are the machine shapes TestPlaceAllocations and
+// BenchmarkPlace drive — 8 applications on 4 × SMT2 (the paper-suite
+// machine) and on 2 × SMT4 (the smt4-suite machine) — with the pinned
+// allocations of one cold decision at each.
+var placeShapes = []struct {
+	name         string
+	cores, level int
+	maxAllocs    float64
+}{
+	{"8apps/4xSMT2", 4, 2, 25},
+	{"8apps/2xSMT4", 2, 4, 36},
+}
+
+// coldPlacer returns a Place call over fresh samples on every invocation:
+// it cycles through a few random sample sets and stretches each one's
+// cycle counts by the call number, so every inversion misses the memo
+// while the call itself allocates only what Place does.
+func coldPlacer(cores, level int) func() machine.Placement {
+	const apps = 8
+	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+	rng := xrand.New(uint64(10*cores + level))
+	sets := make([][]pmu.Counters, 16)
+	for i := range sets {
+		sets[i] = randSamples(rng, apps)
+	}
+	st := &machine.QuantumState{
+		NumApps: apps, NumCores: cores, DispatchWidth: 4, SMTLevel: level,
+		Prev: arrivalOrderPlacement(apps, cores), Samples: make([]pmu.Counters, apps),
+	}
+	i := 0
+	return func() machine.Placement {
+		copy(st.Samples, sets[i%len(sets)])
+		for k := range st.Samples {
+			st.Samples[k][pmu.CPUCycles] += uint64(i / len(sets))
+		}
+		i++
+		st.Quantum = i
+		return p.Place(st)
+	}
+}
+
+// TestPlaceAllocations pins the heap allocations of one placement
+// decision on a cold memo. Pair pricing and the Step 3 solve bypass the
+// memo, so what remains is the inversion memo's entries and results, the
+// solvers' result slices and the returned placement.
+func TestPlaceAllocations(t *testing.T) {
+	for _, s := range placeShapes {
+		place := coldPlacer(s.cores, s.level)
+		if allocs := testing.AllocsPerRun(100, func() { place() }); allocs > s.maxAllocs {
+			t.Errorf("%s: %v allocations per Place, want at most %v", s.name, allocs, s.maxAllocs)
+		}
+	}
+}
+
+// BenchmarkPlace times one cold placement decision at each placeShapes
+// shape: inversions, pair pricing, the Step 3 solve and hysteresis.
+func BenchmarkPlace(b *testing.B) {
+	for _, s := range placeShapes {
+		b.Run(s.name, func(b *testing.B) {
+			place := coldPlacer(s.cores, s.level)
+			b.ReportAllocs()
+			for b.Loop() {
+				place()
+			}
+		})
 	}
 }

@@ -86,7 +86,7 @@ func (a *Arena) coRunnerMean(frac [][]float64, g []int, i int) []float64 {
 // group is Step 3: the minimum-cost co-runner groups over the weight matrix
 // w, in canonical order (members ascending, groups by smallest member),
 // with their cost under grouping.PartitionCost. At SMT2 it runs the
-// configured, memoized matcher on the idle-padded graph; at every other
+// configured matcher on the idle-padded graph; at every other
 // level it runs grouping.Partition through the arena's workspace.
 func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo float64) ([][]int, float64, error) {
 	if level != 2 {

@@ -77,11 +77,11 @@ type PolicyOptions struct {
 	// Its solo cost prices an application running alone at every level,
 	// the idle-slot edges of the SMT2 matching included.
 	Grouping grouping.Options
-	// Cache configures the interference-prediction memo layer
-	// (internal/predcache) behind the policy's Invert and PairDegradation
-	// evaluations. The zero value enables exact-key caching, which is
+	// Cache configures the memo (internal/predcache) behind Step 1's
+	// inversions; pair predictions and the Step 3 solve are never
+	// memoized. The zero value enables exact-key caching, which is
 	// bit-identical to uncached evaluation by construction; set
-	// Cache.Disabled to evaluate the model directly every quantum.
+	// Cache.Disabled to invert directly every quantum.
 	Cache predcache.Options
 	// Name overrides the policy name in experiment output.
 	Name string
@@ -102,9 +102,9 @@ type Policy struct {
 	model *Model
 	opt   PolicyOptions
 
-	// The memoized model evaluations (read-only closures over model+opt).
+	// invertFn is the memoized inversion (a read-only closure over
+	// model+opt).
 	invertFn predcache.InvertFn
-	pairFn   predcache.PairFn
 
 	// shared is the optional concurrent memo behind every arena; nil
 	// means each arena owns private caches (the classic configuration).
@@ -153,7 +153,6 @@ func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	p.invertFn = func(a, b []float64) ([]float64, []float64, bool) {
 		return p.model.Invert(a, b, p.opt.Inversion)
 	}
-	p.pairFn = p.model.PairDegradation
 	p.initArena(&p.def)
 	return p, nil
 }
@@ -186,9 +185,9 @@ func (p *Policy) Model() *Model { return p.model }
 // longer.
 func (p *Policy) LastSTEstimates() [][]float64 { return p.def.lastST }
 
-// CacheStats returns the interference-prediction memo layer's traffic
-// counters for the default arena's inversion and pair-degradation caches
-// (its handle-local counts when a shared cache is installed).
+// CacheStats returns the inversion memo's traffic counters for the
+// default arena (its handle-local counts when a shared cache is
+// installed). pair is always zero: pair predictions are not memoized.
 func (p *Policy) CacheStats() (invert, pair predcache.Stats) {
 	return p.def.CacheStats()
 }
@@ -227,7 +226,8 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 	// matrix is padded with virtual idle slots to 2·NumCores vertices so
 	// the matching is always perfect: a real application paired with an
 	// idle slot runs alone (the solo cost), two idle slots cost nothing.
-	// The matrix is reused across quanta and predictions are memoized.
+	// The matrix is reused across quanta. Each prediction is Eq. 1 on the
+	// two estimates, ~20 ns of arithmetic — cheaper than a memo lookup.
 	total := n
 	if level == 2 {
 		total = 2 * st.NumCores
@@ -238,7 +238,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 			var cost float64
 			switch {
 			case i < n && j < n:
-				cost = a.memo.Pair(est[i], est[j], p.pairFn)
+				cost = p.model.PairDegradation(est[i], est[j])
 			case i < n || j < n:
 				cost = solo
 			}
@@ -337,15 +337,10 @@ func (p *Policy) match(a *Arena, w [][]float64, n int) ([]int, error) {
 		// idle slots (the solo cost against real apps), so one app can pair
 		// with an idle slot to run solo. MinWeightPaddedMatching solves that
 		// graph by exact subset DP when it is small and its optimum unique,
-		// and by blossom otherwise — the same grouping either way.
-		// The whole matching is memoized by the matrix's bit pattern and n:
-		// hysteresis holds co-runner sets (and with them the pair-memoized
-		// weight matrices) stable for long stretches, so steady state
-		// answers the solve with a hash lookup.
-		return a.memo.Match(w, n, func(w [][]float64, n int) ([]int, error) {
-			mate, _, err := a.mws.MinWeightPaddedMatching(w, n)
-			return mate, err
-		})
+		// and by blossom otherwise — the same grouping either way. The
+		// returned mate is a fresh slice, read once by matchedGroups.
+		mate, _, err := a.mws.MinWeightPaddedMatching(w, n)
+		return mate, err
 	}
 }
 

@@ -122,8 +122,8 @@ func TestDynFleetWorkersBitIdentical(t *testing.T) {
 		return rep
 	}
 	serial, parallel := run(1), run(4)
-	if serial.PredCache.PairHits == 0 {
-		t.Fatal("SYNPA placement produced no pair-memo hits")
+	if pc := serial.PredCache; pc.InvertMisses == 0 || pc.InvertEntries == 0 {
+		t.Fatalf("SYNPA placement produced no inversion-memo traffic: %+v", pc)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("fleet reports diverge between Workers=1 and Workers=4\nserial:   %+v\nparallel: %+v", serial, parallel)

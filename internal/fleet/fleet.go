@@ -172,12 +172,14 @@ type Report struct {
 type PredCacheReport struct {
 	// Shared reports whether one concurrent cache served the whole fleet.
 	Shared bool
-	// Invert*/Pair* sum the hit/miss counters of the inversion and
-	// pair-degradation memos across the fleet.
+	// Invert* sum the inversion memo's hit/miss counters across the
+	// fleet.
 	InvertHits, InvertMisses uint64
-	PairHits, PairMisses     uint64
-	// *Entries count resident entries at run end.
-	InvertEntries, PairEntries int
+	// PairHits and PairMisses are always zero: pair predictions are not
+	// memoized. They keep the report's shape for existing readers.
+	PairHits, PairMisses uint64
+	// InvertEntries counts resident inversion entries at run end.
+	InvertEntries int
 }
 
 // planEvent is a machine's planned slice end on the global event heap.
@@ -635,27 +637,20 @@ func Run(cfg Config, src Source) (*Report, error) {
 	// every machine's decision sequence is schedule-independent).
 	if cfg.SharedCache != nil {
 		rep.PredCache.Shared = true
-		inv, pair := cfg.SharedCache.Stats()
+		inv, _ := cfg.SharedCache.Stats()
 		rep.PredCache.InvertHits, rep.PredCache.InvertMisses = inv.Hits, inv.Misses
-		rep.PredCache.PairHits, rep.PredCache.PairMisses = pair.Hits, pair.Misses
-		rep.PredCache.InvertEntries, rep.PredCache.PairEntries = cfg.SharedCache.Entries()
+		rep.PredCache.InvertEntries = cfg.SharedCache.Entries()
 	} else {
 		for _, p := range policies {
 			if cs, ok := p.(interface {
 				CacheStats() (invert, pair predcache.Stats)
 			}); ok {
-				inv, pair := cs.CacheStats()
+				inv, _ := cs.CacheStats()
 				rep.PredCache.InvertHits += inv.Hits
 				rep.PredCache.InvertMisses += inv.Misses
-				rep.PredCache.PairHits += pair.Hits
-				rep.PredCache.PairMisses += pair.Misses
 			}
-			if ce, ok := p.(interface {
-				CacheEntries() (invert, pair int)
-			}); ok {
-				ei, ep := ce.CacheEntries()
-				rep.PredCache.InvertEntries += ei
-				rep.PredCache.PairEntries += ep
+			if ce, ok := p.(interface{ CacheEntries() int }); ok {
+				rep.PredCache.InvertEntries += ce.CacheEntries()
 			}
 		}
 	}
@@ -665,14 +660,11 @@ func Run(cfg Config, src Source) (*Report, error) {
 	// snapshots byte for byte).
 	if cfg.Obs != nil && cfg.Obs.Reg != nil {
 		pc := &rep.PredCache
-		if pc.InvertHits+pc.InvertMisses+pc.PairHits+pc.PairMisses > 0 {
+		if pc.InvertHits+pc.InvertMisses > 0 {
 			reg := cfg.Obs.Reg
 			reg.Counter("fleet.predcache.invert.hits").Add(int64(pc.InvertHits))
 			reg.Counter("fleet.predcache.invert.misses").Add(int64(pc.InvertMisses))
-			reg.Counter("fleet.predcache.pair.hits").Add(int64(pc.PairHits))
-			reg.Counter("fleet.predcache.pair.misses").Add(int64(pc.PairMisses))
 			reg.Gauge("fleet.predcache.invert.entries").Set(int64(pc.InvertEntries))
-			reg.Gauge("fleet.predcache.pair.entries").Set(int64(pc.PairEntries))
 		}
 	}
 

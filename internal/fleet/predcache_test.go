@@ -92,15 +92,15 @@ func TestSharedCacheFleetDifferential(t *testing.T) {
 func TestPredCacheReportAggregation(t *testing.T) {
 	priv := runSYNPAFleet(t, 1, "private")
 	pc := priv.PredCache
-	if pc.InvertMisses == 0 || pc.PairMisses == 0 {
+	if pc.InvertMisses == 0 {
 		t.Fatalf("no misses recorded: %+v", pc)
 	}
-	if pc.InvertEntries == 0 || pc.PairEntries == 0 {
+	if pc.InvertEntries == 0 {
 		t.Fatalf("no resident entries recorded: %+v", pc)
 	}
 	// Private mode: every distinct key was missed once per machine that
 	// saw it, so entries never exceed misses.
-	if pc.InvertEntries > int(pc.InvertMisses) || pc.PairEntries > int(pc.PairMisses) {
+	if pc.InvertEntries > int(pc.InvertMisses) {
 		t.Fatalf("entries exceed misses: %+v", pc)
 	}
 
@@ -111,7 +111,7 @@ func TestPredCacheReportAggregation(t *testing.T) {
 	}
 	// One warm cache across machines cannot miss more often than three
 	// cold private ones at the same decision sequence.
-	if spc.InvertMisses > pc.InvertMisses || spc.PairMisses > pc.PairMisses {
+	if spc.InvertMisses > pc.InvertMisses {
 		t.Fatalf("shared cache missed more than private caches: shared %+v private %+v", spc, pc)
 	}
 }

@@ -23,8 +23,7 @@
 // matching.MinWeightPaddedMatching: an exact subset DP over the padded
 // graph when it has at most ten vertices and a unique optimum, blossom
 // otherwise. The SYNPA policy builds the same padded graph itself at SMT2
-// and runs the same solver behind its matching memo; it calls Partition at
-// every other level.
+// and runs the same solver on it; it calls Partition at every other level.
 //
 // Solvers. Three deterministic solvers sit behind Partition:
 //

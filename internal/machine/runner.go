@@ -160,7 +160,6 @@ type DynRunner struct {
 	rc         *obs.RunCounters
 	cacheStats func() (invert, pair predcache.Stats)
 	prevInv    predcache.Stats
-	prevPair   predcache.Stats
 	prevEngine []smtcore.EngineStats
 }
 
@@ -217,7 +216,7 @@ func NewDynRunner(m *Machine, policy Policy, opt DynRunnerOptions) (*DynRunner, 
 			CacheStats() (invert, pair predcache.Stats)
 		}); ok && !sharedCache {
 			r.cacheStats = cs.CacheStats
-			r.prevInv, r.prevPair = cs.CacheStats()
+			r.prevInv, _ = cs.CacheStats()
 		}
 		r.prevEngine = make([]smtcore.EngineStats, len(m.cores))
 		for c := range m.cores {
@@ -708,26 +707,22 @@ func (r *DynRunner) bindWhole(place Placement) int {
 }
 
 // observePlace records one placement decision: place-call and rebind
-// counters plus the predcache hit/miss deltas attributable to the decision
-// (when the policy exposes CacheStats). Called only when observability is
-// on.
+// counters plus the inversion memo's hit/miss deltas attributable to the
+// decision (when the policy exposes CacheStats). Called only when
+// observability is on.
 func (r *DynRunner) observePlace(rebinds int) {
 	r.rc.PlaceCalls.Add(1)
 	r.rc.Rebinds.Add(int64(rebinds))
 	var vals []float64
 	if r.cacheStats != nil {
-		inv, pair := r.cacheStats()
+		inv, _ := r.cacheStats()
 		dInvH := int64(inv.Hits - r.prevInv.Hits)
 		dInvM := int64(inv.Misses - r.prevInv.Misses)
-		dPairH := int64(pair.Hits - r.prevPair.Hits)
-		dPairM := int64(pair.Misses - r.prevPair.Misses)
-		r.prevInv, r.prevPair = inv, pair
+		r.prevInv = inv
 		r.rc.InvertHits.Add(dInvH)
 		r.rc.InvertMisses.Add(dInvM)
-		r.rc.PairHits.Add(dPairH)
-		r.rc.PairMisses.Add(dPairM)
 		if r.mt != nil {
-			vals = []float64{float64(dInvH), float64(dInvM), float64(dPairH), float64(dPairM)}
+			vals = []float64{float64(dInvH), float64(dInvM)}
 		}
 	}
 	if r.mt != nil {

@@ -16,8 +16,8 @@ const (
 	OpQueue
 	// OpPlace: one placement decision. T is the plan cycle, A the slice
 	// index, B the thread rebinds the new placement required. Vals, when
-	// present, carries [predcache invert hits, invert misses, pair hits,
-	// pair misses] deltas for this decision — the policy internals.
+	// present, carries [predcache invert hits, invert misses] deltas for
+	// this decision — the policy internals.
 	OpPlace
 	// OpExec: one job's execution over one slice on one hardware thread.
 	// T is the slice start, Dur its length, Core the hardware thread,

@@ -237,8 +237,9 @@ type RunCounters struct {
 	JobsArrived, JobsAdmitted, JobsCompleted, JobsDeferred *Counter
 	// Machine quantum lifecycle.
 	Slices, PlaceCalls, Rebinds *Counter
-	// Policy internals: predcache hit/miss deltas observed per decision.
-	InvertHits, InvertMisses, PairHits, PairMisses *Counter
+	// Policy internals: inversion memo hit/miss deltas observed per
+	// decision.
+	InvertHits, InvertMisses *Counter
 	// Fleet dispatch decisions.
 	Dispatched *Counter
 	// Core-engine cycle split (reference steps vs span engine vs bulk
@@ -273,8 +274,6 @@ func (r *Registry) RunCounters() *RunCounters {
 			Rebinds:        r.Counter("policy.rebinds"),
 			InvertHits:     r.Counter("predcache.invert.hits"),
 			InvertMisses:   r.Counter("predcache.invert.misses"),
-			PairHits:       r.Counter("predcache.pair.hits"),
-			PairMisses:     r.Counter("predcache.pair.misses"),
 			Dispatched:     r.Counter("fleet.dispatched"),
 			StepCycles:     r.Counter("smtcore.step_cycles"),
 			SpanCycles:     r.Counter("smtcore.span_cycles"),

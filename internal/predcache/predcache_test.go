@@ -23,70 +23,77 @@ func forEachForm(t *testing.T, run func(t *testing.T, handle func(Options) *Hand
 	}
 }
 
-// totals returns the traffic behind h: the whole Shared's for a shared
-// handle, the handle's own otherwise.
-func totals(h *Handle) (invert, pair Stats) {
+// totals returns the inversion traffic behind h: the whole Shared's for a
+// shared handle, the handle's own otherwise.
+func totals(h *Handle) Stats {
 	if h.shared != nil {
-		return h.shared.Stats()
+		inv, _ := h.shared.Stats()
+		return inv
 	}
-	return h.Stats()
+	inv, _ := h.Stats()
+	return inv
 }
 
-func evalPair(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+// evalInvert stands in for the Newton inversion: a pure function of both
+// vectors that allocates its results.
+func evalInvert(a, b []float64) ([]float64, []float64, bool) {
+	sa, sb := 0.0, 0.0
+	for _, x := range a {
+		sa += x
 	}
-	return s
+	for _, x := range b {
+		sb += x
+	}
+	return []float64{sa, float64(len(a))}, []float64{sa * sb, float64(len(b))}, true
 }
 
+// counted wraps evalInvert with a call counter.
+func counted(calls *int) InvertFn {
+	return func(a, b []float64) ([]float64, []float64, bool) {
+		*calls++
+		return evalInvert(a, b)
+	}
+}
+
+// TestPairCacheHitsAndValues checks the exact-key contract on the ordered
+// (a, b) vector pair an inversion is keyed by: a repeat hits with the same
+// values, while swapped arguments and a one-ulp perturbation miss.
 func TestPairCacheHitsAndValues(t *testing.T) {
 	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
 		h := handle(Options{})
 		a := []float64{0.3, 0.5, 0.2}
 		b := []float64{0.1, 0.1, 0.8}
 		calls := 0
-		fn := func(x, y []float64) float64 { calls++; return evalPair(x, y) }
+		fn := counted(&calls)
 
-		v1 := h.Pair(a, b, fn)
-		v2 := h.Pair(a, b, fn)
-		if v1 != v2 {
-			t.Fatalf("cached value %v != fresh %v", v2, v1)
+		ca1, cb1, _ := h.Invert(a, b, fn)
+		ca2, cb2, _ := h.Invert(a, b, fn)
+		if ca1[0] != ca2[0] || cb1[0] != cb2[0] {
+			t.Fatalf("cached values %v %v != fresh %v %v", ca2, cb2, ca1, cb1)
 		}
 		if calls != 1 {
 			t.Fatalf("fn called %d times for two identical lookups", calls)
 		}
-		if _, s := h.Stats(); s.Hits != 1 || s.Misses != 1 {
+		if s, _ := h.Stats(); s.Hits != 1 || s.Misses != 1 {
 			t.Fatalf("stats %+v, want 1 hit 1 miss", s)
 		}
-		if _, s := totals(h); s.Hits != 1 || s.Misses != 1 {
+		if s := totals(h); s.Hits != 1 || s.Misses != 1 {
 			t.Fatalf("whole-cache stats %+v, want 1 hit 1 miss", s)
 		}
 		// Order matters: (b, a) is a distinct key.
-		h.Pair(b, a, fn)
+		h.Invert(b, a, fn)
 		if calls != 2 {
 			t.Fatalf("swapped arguments did not miss (calls=%d)", calls)
 		}
 		// A one-ulp perturbation must miss.
 		a2 := append([]float64(nil), a...)
 		a2[0] = math.Nextafter(a2[0], 1)
-		h.Pair(a2, b, fn)
+		h.Invert(a2, b, fn)
 		if calls != 3 {
 			t.Fatal("one-ulp perturbation hit the exact-key cache")
 		}
-		if _, ep := h.Entries(); ep != 3 {
-			t.Fatalf("%d pair entries, want 3", ep)
-		}
-
-		// Matchings are memoized too, and every answer is the caller's
-		// own copy.
-		solves := 0
-		match := func([][]float64, int) ([]int, error) { solves++; return []int{1, 0}, nil }
-		w := [][]float64{{0, 0.5}, {0.5, 0}}
-		m1, _ := h.Match(w, 2, match)
-		m1[0] = 7
-		if m2, _ := h.Match(w, 2, match); solves != 1 || m2[0] != 1 {
-			t.Fatalf("match memo: %d solves, second answer %v", solves, m2)
+		if n := h.Entries(); n != 3 {
+			t.Fatalf("%d entries, want 3", n)
 		}
 	})
 }
@@ -95,20 +102,21 @@ func TestPairCacheDisabled(t *testing.T) {
 	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
 		h := handle(Options{Disabled: true})
 		calls := 0
-		fn := func(x, y []float64) float64 { calls++; return 1 }
-		inv := func(a, b []float64) ([]float64, []float64, bool) { calls++; return a, b, true }
+		fn := counted(&calls)
 		for range 2 {
-			h.Pair([]float64{1}, []float64{2}, fn)
-			h.Invert([]float64{1}, []float64{2}, inv)
+			h.Invert([]float64{1}, []float64{2}, fn)
 		}
-		if calls != 4 {
+		if calls != 2 {
 			t.Fatalf("disabled cache memoized (calls=%d)", calls)
 		}
-		if inv, pair := totals(h); inv != (Stats{}) || pair != (Stats{}) {
+		if inv, pair := h.Stats(); inv != (Stats{}) || pair != (Stats{}) {
 			t.Fatalf("disabled cache counted traffic: %+v %+v", inv, pair)
 		}
-		if ei, ep := h.Entries(); ei != 0 || ep != 0 {
-			t.Fatalf("disabled cache holds entries: %d %d", ei, ep)
+		if s := totals(h); s != (Stats{}) {
+			t.Fatalf("disabled cache counted whole-cache traffic: %+v", s)
+		}
+		if n := h.Entries(); n != 0 {
+			t.Fatalf("disabled cache holds %d entries", n)
 		}
 	})
 }
@@ -119,21 +127,20 @@ func TestPairCacheDisabled(t *testing.T) {
 func TestPairCacheReset(t *testing.T) {
 	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
 		h := handle(Options{MaxEntries: 8})
-		fn := func(x, y []float64) float64 { return x[0] + y[0] }
 		for i := range 64 {
-			if v := h.Pair([]float64{float64(i)}, []float64{1}, fn); v != float64(i)+1 {
-				t.Fatalf("wrong value %v for key %d", v, i)
+			if ca, _, _ := h.Invert([]float64{float64(i)}, []float64{1}, evalInvert); ca[0] != float64(i) {
+				t.Fatalf("wrong value %v for key %d", ca, i)
 			}
 		}
-		if _, s := totals(h); s.Resets == 0 {
+		if s := totals(h); s.Resets == 0 {
 			t.Fatalf("no reset after 64 inserts into an 8-entry cache: %+v", s)
 		}
-		if _, ep := h.Entries(); ep > 8 {
-			t.Fatalf("%d entries exceed the 8-entry bound", ep)
+		if n := h.Entries(); n > 8 {
+			t.Fatalf("%d entries exceed the 8-entry bound", n)
 		}
 		// Values stay correct across resets.
-		if v := h.Pair([]float64{3}, []float64{1}, fn); v != 4 {
-			t.Fatalf("post-reset value %v", v)
+		if ca, _, _ := h.Invert([]float64{3}, []float64{1}, evalInvert); ca[0] != 3 {
+			t.Fatalf("post-reset value %v", ca)
 		}
 	})
 }
@@ -176,7 +183,7 @@ func TestInvertCacheSharesResults(t *testing.T) {
 		if inv, _ := h.shared.Stats(); inv.Hits != 2 || inv.Misses != 1 {
 			t.Fatalf("shared stats %+v, want 2 hits 1 miss", inv)
 		}
-		if ei, _ := h2.Entries(); ei != 1 {
+		if ei := h2.Entries(); ei != 1 {
 			t.Fatalf("%d shared inversion entries, want 1", ei)
 		}
 	})
@@ -188,14 +195,14 @@ func TestKeySeparatesSplits(t *testing.T) {
 	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
 		h := handle(Options{})
 		calls := 0
-		fn := func(x, y []float64) float64 { calls++; return float64(len(x)) }
-		v1 := h.Pair([]float64{1}, []float64{2, 3}, fn)
-		v2 := h.Pair([]float64{1, 2}, []float64{3}, fn)
+		fn := counted(&calls)
+		ca1, _, _ := h.Invert([]float64{1}, []float64{2, 3}, fn)
+		ca2, _, _ := h.Invert([]float64{1, 2}, []float64{3}, fn)
 		if calls != 2 {
 			t.Fatal("split ambiguity: second lookup hit the first key")
 		}
-		if v1 == v2 {
-			t.Fatalf("values collided: %v %v", v1, v2)
+		if ca1[1] == ca2[1] {
+			t.Fatalf("values collided: %v %v", ca1, ca2)
 		}
 	})
 }
@@ -229,17 +236,12 @@ func TestSharedShardStress(t *testing.T) {
 			invFn := func(a, b []float64) ([]float64, []float64, bool) {
 				return []float64{a[0] * 2}, []float64{b[0] * 3}, true
 			}
-			pairFn := func(a, b []float64) float64 { return a[0]*10 + b[0] }
 			for i := range perG {
 				k := float64((g*perG + i) % keys)
 				a, b := []float64{k}, []float64{k + 1}
 				ca, cb, conv := h.Invert(a, b, invFn)
 				if !conv || ca[0] != k*2 || cb[0] != (k+1)*3 {
 					errc <- fmt.Errorf("wrong cached inversion for key %v under concurrency", k)
-					return
-				}
-				if v := h.Pair(a, b, pairFn); v != k*10+k+1 {
-					errc <- fmt.Errorf("wrong cached pair value for key %v under concurrency", k)
 					return
 				}
 			}
@@ -250,34 +252,11 @@ func TestSharedShardStress(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	inv, pair := s.Stats()
-	total := uint64(goroutines * perG)
-	if inv.Hits+inv.Misses != total || pair.Hits+pair.Misses != total {
-		t.Fatalf("stats do not account for all traffic: invert=%+v pair=%+v want %d each", inv, pair, total)
+	inv, _ := s.Stats()
+	if total := uint64(goroutines * perG); inv.Hits+inv.Misses != total {
+		t.Fatalf("stats do not account for all traffic: %+v, want %d lookups", inv, total)
 	}
-	if inv.Hits == 0 || pair.Hits == 0 {
+	if inv.Hits == 0 {
 		t.Fatal("overlapping key set produced no hits")
 	}
-}
-
-// TestMatchKeyedByRealCount: the matcher's answer depends on how many of
-// the matrix's vertices are real applications, so one matrix under two
-// real counts is two memo entries, each with its own answer.
-func TestMatchKeyedByRealCount(t *testing.T) {
-	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
-		h := handle(Options{})
-		solves := 0
-		match := func(w [][]float64, n int) ([]int, error) { solves++; return []int{n}, nil }
-		w := [][]float64{{0, 1, 1, 0}, {1, 0, 1, 0}, {1, 1, 0, 0}, {0, 0, 0, 0}}
-		for round := 0; round < 2; round++ {
-			for _, n := range []int{3, 2} {
-				if m, _ := h.Match(w, n, match); len(m) != 1 || m[0] != n {
-					t.Fatalf("round %d: Match(w, %d) = %v, want [%d]", round, n, m, n)
-				}
-			}
-		}
-		if solves != 2 {
-			t.Fatalf("%d solves for two real counts over two rounds, want 2", solves)
-		}
-	})
 }

@@ -1,14 +1,14 @@
 // Shared is the concurrent form of the memo layer: one set of inversion
-// and pair-prediction entries serving many goroutines — every machine in a
-// fleet, or every in-flight request on the reentrant policy path — instead
-// of each warming its own cold private stores.
+// entries serving many goroutines — every machine in a fleet, or every
+// in-flight request on the reentrant policy path — instead of each
+// warming its own cold private store.
 //
 // # Bit-identity under concurrent sharing
 //
 // The package-comment argument extends unchanged: a hit implies the inputs
-// are bit-identical to an earlier call, and the memoized functions are
-// pure, so every value a shard ever returns for a key is the bit-identical
-// value a fresh evaluation would produce. Concurrency changes only *which*
+// are bit-identical to an earlier call, and the inversion is pure, so
+// every value a shard ever returns for a key is the bit-identical value a
+// fresh evaluation would produce. Concurrency changes only *which*
 // calls hit (see memo.get): simulation outputs cannot depend on the
 // schedule; only the hit/miss *counters* (and reset timing) are
 // schedule-dependent, which is why the engines exclude shared-cache
@@ -17,11 +17,10 @@
 // # Structure
 //
 // Keys hash (FNV-1a over the key bytes) onto a power-of-two array of the
-// package's one store, per memoized function; each shard locks
-// independently and clears at MaxEntries/shards. Callers do not use a
-// Shared directly: each request/goroutine derives a Handle, which carries
-// the per-request key scratch and its own Stats so per-caller traffic
-// stays observable.
+// package's one store; each shard locks independently and clears at
+// MaxEntries/shards. Callers do not use a Shared directly: each
+// request/goroutine derives a Handle, which carries the per-request key
+// scratch and its own Stats so per-caller traffic stays observable.
 package predcache
 
 // DefaultShards is the shard count when NewShared is given 0 — enough to
@@ -29,14 +28,12 @@ package predcache
 // the per-shard reset granularity.
 const DefaultShards = 16
 
-// Shared is an N-shard concurrent memo for both the inversion and the
-// pair-degradation functions. Safe for use from any number of goroutines;
-// derive per-goroutine handles with Handle.
+// Shared is an N-shard concurrent memo of the inversion. Safe for use
+// from any number of goroutines; derive per-goroutine handles with Handle.
 type Shared struct {
 	opt  Options
 	mask uint64
-	inv  []memo[invertEntry]
-	pair []memo[float64]
+	inv  []memo
 }
 
 // NewShared builds a shared cache with the given options and shard count
@@ -56,11 +53,9 @@ func NewShared(opt Options, shards int) *Shared {
 		return s
 	}
 	per := max(opt.maxEntries()/n, 1)
-	s.inv = make([]memo[invertEntry], n)
-	s.pair = make([]memo[float64], n)
+	s.inv = make([]memo, n)
 	for i := range n {
-		s.inv[i] = memo[invertEntry]{m: make(map[string]invertEntry), max: per, locked: true}
-		s.pair[i] = memo[float64]{m: make(map[string]float64), max: per, locked: true}
+		s.inv[i] = memo{m: make(map[string]invertEntry), max: per, locked: true}
 	}
 	return s
 }
@@ -83,36 +78,28 @@ func (s *Shared) shard(key []byte) uint64 {
 	return h & s.mask
 }
 
-// Handle derives a per-goroutine handle: inversions and pair predictions
-// go to the shared shards, matchings to a private store of the handle's
-// own (see Handle.Match).
+// Handle derives a per-goroutine handle onto the shared shards.
 func (s *Shared) Handle() *Handle {
-	h := &Handle{disabled: s.opt.Disabled, shared: s}
-	if !s.opt.Disabled {
-		h.mch = newMemo[[]int](s.opt.maxEntries(), false)
-	}
-	return h
+	return &Handle{disabled: s.opt.Disabled, shared: s}
 }
 
-// Stats sums the per-shard traffic counters. Callable concurrently with
-// traffic; a snapshot taken mid-run may straddle in-flight lookups.
+// Stats sums the per-shard inversion traffic counters; pair is always
+// zero, as on Handle.Stats. Callable concurrently with traffic; a snapshot
+// taken mid-run may straddle in-flight lookups.
 func (s *Shared) Stats() (invert, pair Stats) {
 	for i := range s.inv {
 		st, _ := s.inv[i].snapshot()
 		invert.add(st)
-		st, _ = s.pair[i].snapshot()
-		pair.add(st)
 	}
-	return invert, pair
+	return invert, Stats{}
 }
 
 // Entries counts the currently resident entries across all shards.
-func (s *Shared) Entries() (invert, pair int) {
+func (s *Shared) Entries() int {
+	total := 0
 	for i := range s.inv {
 		_, n := s.inv[i].snapshot()
-		invert += n
-		_, n = s.pair[i].snapshot()
-		pair += n
+		total += n
 	}
-	return invert, pair
+	return total
 }

@@ -34,15 +34,16 @@ import (
 	"synpa/internal/predcache"
 )
 
-// Config tunes a placement server. The zero value serves with private
-// per-request caches and production-safe limits.
+// Config tunes a placement server. The zero value serves with a private
+// inversion memo per request and production-safe limits.
 type Config struct {
 	// Policy tunes the SYNPA policy built around each installed model
 	// (matcher, extractor, cache options — core.PolicyOptions semantics).
 	Policy core.PolicyOptions
 	// SharedCache, when true, installs one predcache.Shared per serving
-	// generation so all in-flight requests warm one memo (bit-identical
-	// by construction); false gives each pooled arena private caches.
+	// generation so all in-flight requests warm one inversion memo
+	// (bit-identical by construction); false gives each pooled arena a
+	// private inversion memo.
 	SharedCache bool
 	// MaxRequestBytes bounds one /v1/place or /v1/model body, and one
 	// /v1/place/batch line with its newline (default 1 MiB). A batch line
@@ -383,7 +384,6 @@ type StatsResponse struct {
 	Policy      string       `json:"policy"`
 	CacheMode   string       `json:"cache_mode"`
 	InvertCache *CacheStat   `json:"invert_cache,omitempty"`
-	PairCache   *CacheStat   `json:"pair_cache,omitempty"`
 	Metrics     obs.Snapshot `json:"metrics"`
 }
 
@@ -397,10 +397,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if shared := sv.policy.SharedCache(); shared != nil {
 		resp.CacheMode = "shared"
-		inv, pair := shared.Stats()
-		invN, pairN := shared.Entries()
-		resp.InvertCache = &CacheStat{Hits: inv.Hits, Misses: inv.Misses, Resets: inv.Resets, Entries: invN}
-		resp.PairCache = &CacheStat{Hits: pair.Hits, Misses: pair.Misses, Resets: pair.Resets, Entries: pairN}
+		inv, _ := shared.Stats()
+		resp.InvertCache = &CacheStat{Hits: inv.Hits, Misses: inv.Misses, Resets: inv.Resets, Entries: shared.Entries()}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

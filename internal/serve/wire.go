@@ -15,7 +15,7 @@
 // field's tag (case-sensitive, no escapes), and only whitespace may follow
 // the object. Integers are parsed as digits, never through float64, so a
 // uint64 PMU delta round-trips bit-exactly and the bits a query carries
-// over HTTP are the bits PlaceR keys its memos with. Responses carry only
+// over HTTP are the bits PlaceR keys its inversion memo with. Responses carry only
 // float64 degradations and integer placements, encoded by encoding/json;
 // Go marshals float64 via shortest-representation encoding, which parses
 // back to the identical bits — equal values therefore imply equal bytes,
@@ -30,9 +30,9 @@
 // cross-request smoothing history before deciding, so a pooled arena
 // answers exactly like a freshly built one. Cross-quantum smoothing is the
 // client's to carry (resubmit the evolving Prev/Samples each quantum); what
-// the pool and the shared cache retain between requests are only the
-// exact-bit-keyed memos of pure functions — warm caches change latency,
-// never a result bit.
+// the pool and the shared cache retain between requests is only the
+// exact-bit-keyed memo of a pure function, the inversion — a warm memo
+// changes latency, never a result bit.
 package serve
 
 import (

@@ -54,9 +54,9 @@ type (
 	Placement = machine.Placement
 	// PolicyOptions tune the SYNPA policy (matcher, inversion, extractor).
 	PolicyOptions = core.PolicyOptions
-	// PredCacheOptions tunes the interference-prediction memo layer behind
-	// the SYNPA policy (PolicyOptions.Cache): exact-key memoization is on
-	// by default and bit-identical by construction; Disabled turns it off.
+	// PredCacheOptions tunes the SYNPA policy's inversion memo
+	// (PolicyOptions.Cache): exact-key memoization is on by default and
+	// bit-identical by construction; Disabled turns it off.
 	PredCacheOptions = predcache.Options
 	// SharedPredCache is a sharded concurrent prediction memo one whole
 	// fleet (or any number of concurrent PlaceR callers) shares; build
