@@ -46,7 +46,7 @@ func main() {
 		quantum    = flag.Uint64("quantum", 20_000, "scheduling quantum in cycles")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "worker goroutines stepping cores within each quantum (0 = GOMAXPROCS, 1 = serial; results are bit-identical at any count)")
-		sharedCch  = flag.Bool("shared-cache", false, "fleet runs: one fleet-wide concurrent prediction cache instead of per-machine private caches (bit-identical by construction; combine with -fleet)")
+		sharedCch  = flag.Bool("shared-cache", false, "fleet runs: one fleet-wide concurrent inversion memo instead of none (bit-identical by construction; combine with -fleet)")
 		traceOut   = flag.String("trace-out", "", "write the run's event trace to this '[format:]path' (formats: chrome = Perfetto trace-event JSON, jsonl; default by extension). Needs a single policy, not -policy both")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics registry snapshot (counters/histograms, JSON) to this path")
 	)
@@ -257,7 +257,7 @@ func printFleetReport(r *synpa.FleetReport) {
 	fmt.Printf("machine job share: min=%d max=%d (imbalance %.3f)\n",
 		r.MinMachineJobs, r.MaxMachineJobs, r.Imbalance)
 	if pc := r.PredCache; pc.InvertHits+pc.InvertMisses > 0 {
-		scope := "per-machine"
+		scope := "none"
 		if pc.Shared {
 			scope = "fleet-shared"
 		}

@@ -47,7 +47,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8787", "listen address (port 0 picks a free port; see the stdout announcement)")
 		modelPath = flag.String("model", "", "trained model JSON (synpa-train -out); required unless -paper")
 		paper     = flag.Bool("paper", false, "serve the paper's published Table IV coefficients instead of a trained model file")
-		shared    = flag.Bool("shared-cache", false, "one concurrent inversion memo across all in-flight requests instead of a private one per request (bit-identical by construction)")
+		shared    = flag.Bool("shared-cache", false, "one concurrent inversion memo across all in-flight requests; without it every query inverts directly (bit-identical by construction)")
 		maxConc   = flag.Int("max-concurrent", 0, "placement requests decided at once before 503 (0 = 4x GOMAXPROCS)")
 		maxReq    = flag.Int64("max-request-bytes", 0, "per-request (and per-batch-line) body limit (0 = 1 MiB)")
 		maxBatch  = flag.Int64("max-batch-bytes", 0, "whole batch-stream body limit (0 = 64 MiB)")

@@ -21,10 +21,10 @@ import (
 )
 
 // Arena is the per-request mutable state of one placement stream: scratch
-// matrices, the cross-quantum smoothing history, and this stream's
-// inversion memo handle. An Arena is NOT safe for concurrent use — the
-// concurrency model is one arena per goroutine, many arenas per policy.
-// Build one with Policy.NewArena.
+// matrices, the cross-quantum smoothing history, and this stream's handle
+// onto the policy's inversion memo, if one is installed. An Arena is NOT
+// safe for concurrent use — the concurrency model is one arena per
+// goroutine, many arenas per policy. Build one with Policy.NewArena.
 //
 // The smoothing history (lastST, lastIDs) is per-arena on purpose: each
 // serving stream tracks the machine it is deciding for, so interleaved
@@ -49,9 +49,11 @@ type Arena struct {
 	// allocation, so the diagonal stays zero across reuses.
 	wRows [][]float64
 	wBack []float64
-	// meanBuf is Step 1's reusable co-runner mean vector and frac its
-	// per-app fraction-row header slice.
+	// meanBuf is Step 1's reusable co-runner mean vector, coST the row the
+	// co-runner half of a group member's inversion lands in (read by
+	// nobody), and frac its per-app fraction-row header slice.
 	meanBuf []float64
+	coST    []float64
 	frac    [][]float64
 	// prevGroups holds the previous placement's per-core groups, and
 	// matchRows/matchBack the groups read off an SMT2 matching
@@ -68,14 +70,15 @@ type Arena struct {
 	// level but 2 (grouping.Workspace); reuse is bit-identical too.
 	gws grouping.Workspace
 
-	// memo memoizes Step 1's inversions: a private store, or a handle
-	// onto the policy's shared cache.
-	memo *predcache.Handle
+	// memo is this arena's handle onto the policy's shared inversion
+	// memo, or nil when none is installed and Step 1 inverts straight into
+	// the estimate rows; inverted counts those direct inversions.
+	memo     *predcache.Handle
+	inverted uint64
 }
 
-// NewArena builds a fresh request arena: a private inversion memo when the
-// policy has no shared cache installed, a per-request handle onto the
-// shared cache otherwise.
+// NewArena builds a fresh request arena, with a per-request handle onto
+// the policy's shared cache when one is installed.
 func (p *Policy) NewArena() *Arena {
 	a := &Arena{}
 	p.initArena(a)
@@ -83,17 +86,20 @@ func (p *Policy) NewArena() *Arena {
 }
 
 func (p *Policy) initArena(a *Arena) {
+	a.memo = nil
 	if p.shared != nil {
 		a.memo = p.shared.Handle()
-		return
 	}
-	a.memo = predcache.New(p.opt.Cache)
 }
 
-// CacheStats returns the arena's own inversion memo traffic (its
-// handle-local counts when backed by a shared cache); pair is always zero.
+// CacheStats returns the arena's own inversion traffic: its handle-local
+// counts when backed by a shared cache, and otherwise every inversion as a
+// miss. pair is always zero.
 func (a *Arena) CacheStats() (invert, pair predcache.Stats) {
-	return a.memo.Stats()
+	if a.memo != nil {
+		return a.memo.Stats()
+	}
+	return predcache.Stats{Misses: a.inverted}, predcache.Stats{}
 }
 
 // LastSTEstimates returns the ST category estimates computed by this
@@ -108,38 +114,36 @@ func (a *Arena) LastSTEstimates() [][]float64 { return a.lastST }
 // request exactly like a freshly built one. Everything else survives on
 // purpose: the scratch matrices and the solver workspaces are
 // size-recycled buffers whose contents are fully overwritten per decision,
-// and the inversion memo is an exact-bit-keyed cache of a pure function,
-// so keeping it warm changes speed, never a result bit (the predcache
-// package-comment argument). This is what makes serving-pool
-// reuse bit-identical to one-arena-per-request.
+// and the memo handle's counts are traffic, not state. This is what makes
+// serving-pool reuse bit-identical to one-arena-per-request.
 func (a *Arena) Reset() {
 	a.lastST = nil
 	a.lastIDs = a.lastIDs[:0]
 }
 
-// SetSharedCache installs a shared concurrent memo behind every arena the
-// policy builds from now on, including the default arena behind Place.
-// Install before serving traffic: the switch rewires cache handles only,
-// and any entries already in the old private caches are dropped (a speed
-// change, never a result change — the memo layer is bit-identical by
-// construction either way). The shared cache's Options then govern the
-// arena memos in place of PolicyOptions.Cache. A nil cache reverts to
-// private per-arena caches.
+// SetSharedCache installs a shared concurrent inversion memo behind every
+// arena the policy builds from now on, including the default arena behind
+// Place. Install before serving traffic: the switch rewires cache handles
+// only (a speed change, never a result change — the memo layer is
+// bit-identical by construction). A nil cache reverts to inverting
+// directly.
 func (p *Policy) SetSharedCache(c *predcache.Shared) {
 	p.shared = c
 	p.initArena(&p.def)
 }
 
-// SharedCache returns the installed shared cache, or nil when every arena
-// owns private caches. Engines use this to tell whether per-decision cache
-// deltas are schedule-independent (private) or not (shared).
+// SharedCache returns the installed shared cache, or nil when the policy
+// inverts directly. Engines use this to tell whether per-decision cache
+// deltas are schedule-independent (none) or not (shared).
 func (p *Policy) SharedCache() *predcache.Shared { return p.shared }
 
-// CacheEntries returns the resident entry count of the default arena's
-// inversion memo (the whole shared cache's when one is installed —
-// entries are global there by design).
+// CacheEntries returns the resident entry count of the installed shared
+// cache, or 0 without one.
 func (p *Policy) CacheEntries() int {
-	return p.def.memo.Entries()
+	if p.shared == nil {
+		return 0
+	}
+	return p.shared.Entries()
 }
 
 // newEstMatrix returns an n×k estimate matrix backed by the double buffer

@@ -1,9 +1,9 @@
 package core
 
 // Tests for the reentrant policy path: PlaceR through caller-owned arenas
-// must be bit-identical to the classic Place surface — private caches,
-// shared cache, or no cache — including when many goroutines hammer one
-// policy concurrently (the -race gate for the serving path).
+// must be bit-identical to the classic Place surface — with or without a
+// shared inversion memo — including when many goroutines hammer one policy
+// concurrently (the -race gate for the serving path).
 
 import (
 	"reflect"
@@ -67,20 +67,27 @@ func TestPlaceRMatchesPlaceAcrossCacheModes(t *testing.T) {
 	ps := MustPolicy(m, PolicyOptions{})
 	ps.SetSharedCache(predcache.NewShared(predcache.Options{}, 4))
 	if !reflect.DeepEqual(drivePlacements(ps.Place, quanta, apps, cores), want) {
-		t.Fatal("shared cache diverged from private cache")
+		t.Fatal("shared cache diverged from direct inversion")
 	}
 	inv, _ := ps.SharedCache().Stats()
 	if inv.Hits+inv.Misses == 0 {
 		t.Fatal("shared cache saw no traffic — the differential is vacuous")
 	}
 
-	// Cache disabled entirely.
-	pd := MustPolicy(m, PolicyOptions{Cache: predcache.Options{Disabled: true}})
+	// A disabled shared cache passes every inversion through, and
+	// uninstalling the cache reverts to direct inversion.
+	pd := MustPolicy(m, PolicyOptions{})
+	pd.SetSharedCache(predcache.NewShared(predcache.Options{Disabled: true}, 4))
 	if !reflect.DeepEqual(drivePlacements(pd.Place, quanta, apps, cores), want) {
-		t.Fatal("cache-disabled diverged from cached")
+		t.Fatal("disabled shared cache diverged from direct inversion")
+	}
+	pd.SetSharedCache(nil)
+	if !reflect.DeepEqual(drivePlacements(pd.Place, quanta, apps, cores), want) {
+		t.Fatal("uninstalled shared cache diverged from direct inversion")
 	}
 
-	// The SMT4 set partition too: same three-way differential.
+	// The SMT4 set partition too: direct inversion against the shared
+	// cache.
 	smt4 := func(opt PolicyOptions) []machine.Placement {
 		pol := MustPolicy(m, opt)
 		return drivePlacements(func(st *machine.QuantumState) machine.Placement {
@@ -145,7 +152,8 @@ func TestConcurrentPlaceRBitIdentical(t *testing.T) {
 }
 
 // TestArenaResetPoolReuse pins the pool contract: a Reset arena keeps its
-// memo but is bit-identical to a freshly allocated one.
+// buffers and traffic counts but is bit-identical to a freshly allocated
+// one.
 func TestArenaResetPoolReuse(t *testing.T) {
 	const quanta, apps, cores = 10, 8, 4
 	m := PaperCoefficients()
@@ -164,15 +172,15 @@ func TestArenaResetPoolReuse(t *testing.T) {
 	}
 
 	// Reset must clear the cross-request state (smoothing history) while
-	// keeping the memo: the reused arena replays the exact reference
-	// stream, as if freshly allocated.
+	// keeping the arena's traffic counts: the reused arena replays the
+	// exact reference stream, as if freshly allocated.
 	a.Reset()
 	if len(a.LastSTEstimates()) != 0 {
 		t.Fatal("Reset kept smoothing history")
 	}
 	inv0, _ := a.CacheStats()
-	if inv0.Hits+inv0.Misses == 0 {
-		t.Fatal("Reset dropped the memo — pooling would lose all warmth")
+	if inv0.Hits != 0 || inv0.Misses == 0 {
+		t.Fatalf("arena without a memo counted %+v, want every inversion as a miss", inv0)
 	}
 	if second := run(a); !reflect.DeepEqual(second, first) {
 		t.Fatalf("pooled (Reset) arena diverged from its own fresh run:\n got %v\nwant %v", second, first)
@@ -193,14 +201,14 @@ var placeShapes = []struct {
 	cores, level int
 	maxAllocs    float64
 }{
-	{"8apps/4xSMT2", 4, 2, 25},
-	{"8apps/2xSMT4", 2, 4, 36},
+	{"8apps/4xSMT2", 4, 2, 13},
+	{"8apps/2xSMT4", 2, 4, 12},
 }
 
 // coldPlacer returns a Place call over fresh samples on every invocation:
 // it cycles through a few random sample sets and stretches each one's
-// cycle counts by the call number, so every inversion misses the memo
-// while the call itself allocates only what Place does.
+// cycle counts by the call number, so no two decisions share an inversion
+// input while the call itself allocates only what Place does.
 func coldPlacer(cores, level int) func() machine.Placement {
 	const apps = 8
 	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
@@ -226,9 +234,9 @@ func coldPlacer(cores, level int) func() machine.Placement {
 }
 
 // TestPlaceAllocations pins the heap allocations of one placement
-// decision on a cold memo. Pair pricing and the Step 3 solve bypass the
-// memo, so what remains is the inversion memo's entries and results, the
-// solvers' result slices and the returned placement.
+// decision without a memo. Step 1 inverts into the arena's estimate rows,
+// so what remains is the extractor's fraction rows, the solvers' result
+// slices and the returned placement.
 func TestPlaceAllocations(t *testing.T) {
 	for _, s := range placeShapes {
 		place := coldPlacer(s.cores, s.level)

@@ -19,19 +19,19 @@ import (
 
 // estimate is Step 1: each application's ST category vector, inverted from
 // its measured SMT fractions against its previous co-runner group. A core
-// holding two applications is inverted jointly — one Invert(lower, higher)
-// call fills both rows, the paper's pairwise inversion. A larger group
+// holding two applications is inverted jointly — one inversion of (lower,
+// higher) fills both rows, the paper's pairwise inversion. A larger group
 // inverts each member against the mean fraction vector of the others, the
 // pairwise model's first-order aggregate. Solo applications keep their
 // measured fractions (they are ST already), as does every application
 // under the inversion ablation.
 func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) [][]float64 {
-	n := st.NumApps
+	n, k := st.NumApps, p.model.K()
 	if cap(a.frac) < n {
 		a.frac = make([][]float64, n)
 	}
 	frac := a.frac[:n]
-	est := a.newEstMatrix(n, p.model.K())
+	est := a.newEstMatrix(n, k)
 	for i := range frac {
 		frac[i] = p.opt.Extract(st.Samples[i], st.DispatchWidth)
 		copy(est[i], frac[i]) // the inversions below overwrite co-running apps' rows
@@ -45,17 +45,31 @@ func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) []
 		case 0, 1:
 			// Idle core, or a solo app.
 		case 2:
-			ci, cj, _ := a.memo.Invert(frac[g[0]], frac[g[1]], p.invertFn)
-			copy(est[g[0]], ci)
-			copy(est[g[1]], cj)
+			p.invert(a, frac[g[0]], frac[g[1]], est[g[0]], est[g[1]])
 		default:
+			if cap(a.coST) < k {
+				a.coST = make([]float64, k)
+			}
 			for _, i := range g {
-				ci, _, _ := a.memo.Invert(frac[i], a.coRunnerMean(frac, g, i), p.invertFn)
-				copy(est[i], ci)
+				p.invert(a, frac[i], a.coRunnerMean(frac, g, i), est[i], a.coST[:k])
 			}
 		}
 	}
 	return est
+}
+
+// invert writes the ST vectors inverted from fractions fi and fj into rows
+// ci and cj: straight from the Newton solve, or copied from the shared
+// memo when the policy has one.
+func (p *Policy) invert(a *Arena, fi, fj, ci, cj []float64) {
+	if a.memo == nil {
+		p.model.InvertInto(fi, fj, ci, cj, p.opt.Inversion)
+		a.inverted++
+		return
+	}
+	ri, rj, _ := a.memo.Invert(fi, fj, p.invertFn)
+	copy(ci, ri)
+	copy(cj, rj)
 }
 
 // coRunnerMean returns the mean fraction vector of group g's members other

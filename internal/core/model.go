@@ -167,9 +167,18 @@ func DefaultInversion() InversionOptions {
 // still has usable, if noisier, estimates — matching the "relatively good
 // accuracy" caveat in §IV-B).
 func (m *Model) Invert(fi, fj []float64, opt InversionOptions) (ci, cj []float64, converged bool) {
+	ci, cj = make([]float64, len(fi)), make([]float64, len(fj))
+	return ci, cj, m.InvertInto(fi, fj, ci, cj, opt)
+}
+
+// InvertInto is Invert writing the recovered ST vectors into ci and cj,
+// which must have the lengths of fi and fj and must not alias them. It
+// allocates nothing, and its results are bit-identical to Invert's: Invert
+// is this solve on fresh rows.
+func (m *Model) InvertInto(fi, fj, ci, cj []float64, opt InversionOptions) (converged bool) {
 	k := m.K()
-	ci = append([]float64(nil), fi...)
-	cj = append([]float64(nil), fj...)
+	copy(ci, fi)
+	copy(cj, fj)
 	normalize(ci)
 	normalize(cj)
 
@@ -195,11 +204,11 @@ func (m *Model) Invert(fi, fj []float64, opt InversionOptions) (ci, cj []float64
 			newSj = 1
 		}
 		if math.Abs(newSi-si) < opt.Tol && math.Abs(newSj-sj) < opt.Tol {
-			return ci, cj, true
+			return true
 		}
 		si, sj = newSi, newSj
 	}
-	return ci, cj, false
+	return false
 }
 
 // solveCategory solves the per-category 2×2 system

@@ -200,6 +200,38 @@ func TestInvertPropertyNeverNaN(t *testing.T) {
 	}
 }
 
+// TestInvertIntoBitIdentical pins the in-place inversion to Invert: into
+// rows holding a previous solve's results, for the paper and synthetic
+// models, InvertInto writes the bits Invert returns on fresh rows, reports
+// the same convergence, and allocates nothing.
+func TestInvertIntoBitIdentical(t *testing.T) {
+	opt := DefaultInversion()
+	rng := xrand.New(7)
+	ci, cj := make([]float64, 3), make([]float64, 3)
+	for _, m := range []*Model{PaperCoefficients(), syntheticModel()} {
+		for trial := range 200 {
+			fi, fj := randomSimplex(rng), randomSimplex(rng)
+			if trial%50 == 0 {
+				fi = []float64{0, 0, 0} // the degenerate uniform restart
+			}
+			wi, wj, wconv := m.Invert(fi, fj, opt)
+			if conv := m.InvertInto(fi, fj, ci, cj, opt); conv != wconv {
+				t.Fatalf("trial %d: converged %v, Invert %v", trial, conv, wconv)
+			}
+			for k := range wi {
+				if math.Float64bits(ci[k]) != math.Float64bits(wi[k]) ||
+					math.Float64bits(cj[k]) != math.Float64bits(wj[k]) {
+					t.Fatalf("trial %d: InvertInto %v %v, Invert %v %v", trial, ci, cj, wi, wj)
+				}
+			}
+		}
+		fi, fj := randomSimplex(rng), randomSimplex(rng)
+		if allocs := testing.AllocsPerRun(100, func() { m.InvertInto(fi, fj, ci, cj, opt) }); allocs != 0 {
+			t.Fatalf("InvertInto allocates %v times per call", allocs)
+		}
+	}
+}
+
 // randomSimplex draws a random point on the 3-simplex.
 func randomSimplex(rng *xrand.RNG) []float64 {
 	v := []float64{rng.Float64() + 0.01, rng.Float64() + 0.01, rng.Float64() + 0.01}
@@ -261,5 +293,19 @@ func BenchmarkInvert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Invert(fi, fj, opt)
+	}
+}
+
+// BenchmarkInvertInto times one in-place inversion on the paper model,
+// the Step 1 cost a policy without a memo pays per co-runner group.
+func BenchmarkInvertInto(b *testing.B) {
+	m := PaperCoefficients()
+	fi := []float64{0.25, 0.25, 0.5}
+	fj := []float64{0.5, 0.3, 0.2}
+	ci, cj := make([]float64, 3), make([]float64, 3)
+	opt := DefaultInversion()
+	b.ReportAllocs()
+	for b.Loop() {
+		m.InvertInto(fi, fj, ci, cj, opt)
 	}
 }

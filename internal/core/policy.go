@@ -77,12 +77,6 @@ type PolicyOptions struct {
 	// Its solo cost prices an application running alone at every level,
 	// the idle-slot edges of the SMT2 matching included.
 	Grouping grouping.Options
-	// Cache configures the memo (internal/predcache) behind Step 1's
-	// inversions; pair predictions and the Step 3 solve are never
-	// memoized. The zero value enables exact-key caching, which is
-	// bit-identical to uncached evaluation by construction; set
-	// Cache.Disabled to invert directly every quantum.
-	Cache predcache.Options
 	// Name overrides the policy name in experiment output.
 	Name string
 }
@@ -102,12 +96,12 @@ type Policy struct {
 	model *Model
 	opt   PolicyOptions
 
-	// invertFn is the memoized inversion (a read-only closure over
-	// model+opt).
+	// invertFn is the inversion a shared memo evaluates on a miss (a
+	// read-only closure over model+opt).
 	invertFn predcache.InvertFn
 
 	// shared is the optional concurrent memo behind every arena; nil
-	// means each arena owns private caches (the classic configuration).
+	// means Step 1 inverts directly (the classic configuration).
 	shared *predcache.Shared
 	// def is the default arena behind the non-reentrant Place surface.
 	def Arena
@@ -185,9 +179,10 @@ func (p *Policy) Model() *Model { return p.model }
 // longer.
 func (p *Policy) LastSTEstimates() [][]float64 { return p.def.lastST }
 
-// CacheStats returns the inversion memo's traffic counters for the
-// default arena (its handle-local counts when a shared cache is
-// installed). pair is always zero: pair predictions are not memoized.
+// CacheStats returns the default arena's inversion traffic: its
+// handle-local counts when a shared cache is installed, every inversion
+// as a miss otherwise. pair is always zero: pair predictions are not
+// memoized.
 func (p *Policy) CacheStats() (invert, pair predcache.Stats) {
 	return p.def.CacheStats()
 }
@@ -214,9 +209,10 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 	solo := p.opt.Grouping.ResolvedSoloCost()
 
 	// Step 1: estimate each application's ST category vector. The estimate
-	// matrix is double-buffered across quanta and inversions are memoized
-	// (internal/predcache): a cache hit implies bit-identical inputs, so
-	// the copied result is bit-identical to a fresh inversion.
+	// matrix is double-buffered across quanta and the inversions write
+	// into it, or copy from the shared memo when one is installed
+	// (internal/predcache): a hit implies bit-identical inputs, so the
+	// copied result is bit-identical to a fresh inversion.
 	a.prevGroups = st.Prev.PairsOf(st.NumCores, a.prevGroups)
 	prev := a.prevGroups
 	est := p.estimate(a, st, prev)

@@ -100,8 +100,8 @@ func TestDynFleetBaseline(t *testing.T) {
 
 // TestDynFleetWorkersBitIdentical runs the bursty fleet scenario under
 // interference dispatch and SYNPA placement with the suite's worker count
-// set to 1 and to 4, and demands identical reports — private-cache
-// counters included.
+// set to 1 and to 4, and demands identical reports — inversion counters
+// included.
 func TestDynFleetWorkersBitIdentical(t *testing.T) {
 	model := core.PaperCoefficients()
 	run := func(workers int) *fleet.Report {
@@ -122,8 +122,8 @@ func TestDynFleetWorkersBitIdentical(t *testing.T) {
 		return rep
 	}
 	serial, parallel := run(1), run(4)
-	if pc := serial.PredCache; pc.InvertMisses == 0 || pc.InvertEntries == 0 {
-		t.Fatalf("SYNPA placement produced no inversion-memo traffic: %+v", pc)
+	if pc := serial.PredCache; pc.InvertMisses == 0 {
+		t.Fatalf("SYNPA placement counted no inversions: %+v", pc)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("fleet reports diverge between Workers=1 and Workers=4\nserial:   %+v\nparallel: %+v", serial, parallel)

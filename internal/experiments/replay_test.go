@@ -128,14 +128,14 @@ func TestRecordQueriesShape(t *testing.T) {
 
 // TestReplayBitIdenticalAcrossCacheModes is the serving-path differential:
 // replaying the recorded query log through PlaceR must produce the same
-// placement sequence whether the cache is disabled, private or shared,
-// serial or eight goroutines racing one shared cache. Run under -race in
+// placement sequence with no memo or a shared one, serial or eight
+// goroutines racing one shared cache. Run under -race in
 // CI this doubles as the race gate for the reentrant placement path.
 func TestReplayBitIdenticalAcrossCacheModes(t *testing.T) {
 	model, queries := recordedQueries(t)
 
-	serial := func(opt core.PolicyOptions, shared bool) []machine.Placement {
-		p := core.MustPolicy(model, opt)
+	serial := func(shared bool) []machine.Placement {
+		p := core.MustPolicy(model, core.PolicyOptions{})
 		if shared {
 			p.SetSharedCache(predcache.NewShared(predcache.Options{}, 4))
 		}
@@ -147,17 +147,9 @@ func TestReplayBitIdenticalAcrossCacheModes(t *testing.T) {
 		}
 		return out
 	}
-	want := serial(core.PolicyOptions{}, false)
-
-	disabled := core.PolicyOptions{}
-	disabled.Cache.Disabled = true
-	for name, got := range map[string][]machine.Placement{
-		"nocache": serial(disabled, false),
-		"shared":  serial(core.PolicyOptions{}, true),
-	} {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s replay diverged from private-cache replay", name)
-		}
+	want := serial(false)
+	if got := serial(true); !reflect.DeepEqual(got, want) {
+		t.Error("shared-cache replay diverged from the replay without a memo")
 	}
 
 	// Concurrent: 8 goroutines, one shared cache, per-goroutine arenas;

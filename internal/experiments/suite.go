@@ -54,9 +54,9 @@ type Config struct {
 	// false) — synpa-bench enforces this for -trace-out.
 	Obs *obs.Observer
 	// FleetSharedCache routes every fleet experiment through one shared
-	// concurrent prediction cache per run instead of per-machine private
-	// caches. Bit-identical by construction (internal/predcache): the
-	// golden-digest harness re-verifies the dynfleet digest with this on.
+	// concurrent inversion memo per run instead of none. Bit-identical by
+	// construction (internal/predcache): the golden-digest harness
+	// re-verifies the dynfleet digest with this on.
 	FleetSharedCache bool
 }
 

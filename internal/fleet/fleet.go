@@ -75,14 +75,13 @@ type Config struct {
 	// SketchAlpha is the quantile sketches' relative accuracy; zero
 	// selects the stats package default.
 	SketchAlpha float64
-	// SharedCache, when non-nil, is a concurrent interference-prediction
-	// memo (predcache.Shared) installed into every policy that supports
-	// it (core.Policy via SetSharedCache): the whole fleet shares one
-	// warm cache instead of every machine warming its own cold copy.
-	// Sharing is bit-identical by construction — a hit implies
-	// bit-identical inputs to a pure function — so reports cannot depend
-	// on it; only the hit/miss split in Report.PredCache becomes
-	// schedule-dependent.
+	// SharedCache, when non-nil, is a concurrent inversion memo
+	// (predcache.Shared) installed into every policy that supports it
+	// (core.Policy via SetSharedCache): the whole fleet shares one warm
+	// memo; without it every machine inverts directly. Sharing is
+	// bit-identical by construction — a hit implies bit-identical inputs
+	// to a pure function — so reports cannot depend on it; only the
+	// hit/miss split in Report.PredCache becomes schedule-dependent.
 	SharedCache *predcache.Shared
 	// OnJobDone, when set, observes every completed job in the exact
 	// deterministic completion order (machine index ascending within an
@@ -159,12 +158,12 @@ type Report struct {
 	// PerClass breaks response metrics out by priority class, most urgent
 	// first; empty when every job is class 0 with default weight.
 	PerClass []ClassReport
-	// PredCache aggregates the fleet's interference-prediction memo
-	// traffic (zero when no policy exposes cache stats). With private
-	// per-machine caches the counts are deterministic; with a shared
-	// cache (Shared true) the hit/miss split is schedule-dependent even
-	// though every other report field stays bit-identical — differential
-	// tests zero this field before comparing.
+	// PredCache aggregates the fleet's inversion traffic (zero when no
+	// policy exposes cache stats). Without a memo every inversion counts
+	// as a miss and the counts are deterministic; with a shared cache
+	// (Shared true) the hit/miss split is schedule-dependent even though
+	// every other report field stays bit-identical — differential tests
+	// zero this field before comparing.
 	PredCache PredCacheReport
 }
 
@@ -173,12 +172,13 @@ type PredCacheReport struct {
 	// Shared reports whether one concurrent cache served the whole fleet.
 	Shared bool
 	// Invert* sum the inversion memo's hit/miss counters across the
-	// fleet.
+	// fleet; without a memo every inversion is a miss.
 	InvertHits, InvertMisses uint64
 	// PairHits and PairMisses are always zero: pair predictions are not
 	// memoized. They keep the report's shape for existing readers.
 	PairHits, PairMisses uint64
-	// InvertEntries counts resident inversion entries at run end.
+	// InvertEntries counts resident inversion entries at run end (zero
+	// without a memo).
 	InvertEntries int
 }
 
@@ -633,8 +633,9 @@ func Run(cfg Config, src Source) (*Report, error) {
 		rep.Imbalance = float64(rep.MaxMachineJobs) * float64(cfg.Machines) / float64(rep.Jobs)
 	}
 	// Predcache accounting: the shared cache's global totals when one
-	// serves the fleet, else the per-machine sums (deterministic there —
-	// every machine's decision sequence is schedule-independent).
+	// serves the fleet, else the per-machine inversion counts
+	// (deterministic there — every machine's decision sequence is
+	// schedule-independent).
 	if cfg.SharedCache != nil {
 		rep.PredCache.Shared = true
 		inv, _ := cfg.SharedCache.Stats()

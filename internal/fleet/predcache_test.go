@@ -1,11 +1,11 @@
 package fleet
 
 // Differential gates for the fleet-wide shared prediction cache: a shared
-// concurrent cache, private per-machine caches and no cache at all must
-// produce bit-identical fleet reports at every worker count — the
-// bit-identity-by-construction claim of internal/predcache extended to
-// concurrent sharing. Run under -race in CI, these tests are also the
-// fleet-level race gate for the shared path.
+// concurrent cache and no cache at all must produce bit-identical fleet
+// reports at every worker count — the bit-identity-by-construction claim
+// of internal/predcache extended to concurrent sharing. Run under -race
+// in CI, these tests are also the fleet-level race gate for the shared
+// path.
 
 import (
 	"reflect"
@@ -17,9 +17,9 @@ import (
 )
 
 // runSYNPAFleet runs the standard scenario with real SYNPA policies (the
-// only policies with a prediction cache) in the given cache mode:
-// "private" (per-machine caches), "shared" (one fleet-wide concurrent
-// cache) or "disabled".
+// only policies with a prediction cache) in the given cache mode: "none"
+// (every machine inverts directly), "shared" (one fleet-wide concurrent
+// cache) or "disabled" (a shared cache that passes every lookup through).
 func runSYNPAFleet(t *testing.T, workers int, mode string) *Report {
 	t.Helper()
 	cfg := Config{
@@ -30,15 +30,14 @@ func runSYNPAFleet(t *testing.T, workers int, mode string) *Report {
 		Seed:      11,
 		Workers:   workers,
 		NewPolicy: func(int) machine.Policy {
-			opt := core.PolicyOptions{}
-			if mode == "disabled" {
-				opt.Cache.Disabled = true
-			}
-			return core.MustPolicy(core.PaperCoefficients(), opt)
+			return core.MustPolicy(core.PaperCoefficients(), core.PolicyOptions{})
 		},
 	}
-	if mode == "shared" {
+	switch mode {
+	case "shared":
 		cfg.SharedCache = predcache.NewShared(predcache.Options{}, 4)
+	case "disabled":
+		cfg.SharedCache = predcache.NewShared(predcache.Options{Disabled: true}, 4)
 	}
 	rep, err := Run(cfg, &sliceSource{jobs: testJobs(t, 48)})
 	if err != nil {
@@ -59,16 +58,16 @@ func normalizeCacheReport(r *Report) Report {
 }
 
 func TestSharedCacheFleetDifferential(t *testing.T) {
-	base := runSYNPAFleet(t, 1, "private")
+	base := runSYNPAFleet(t, 1, "none")
 	if base.PredCache.InvertHits+base.PredCache.InvertMisses == 0 {
-		t.Fatal("private-cache run reports no cache traffic — the differential is vacuous")
+		t.Fatal("run without a memo reports no inversions — the differential is vacuous")
 	}
 	if base.PredCache.Shared {
-		t.Fatal("private-cache run marked Shared")
+		t.Fatal("run without a memo marked Shared")
 	}
 	want := normalizeCacheReport(base)
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []string{"private", "shared", "disabled"} {
+		for _, mode := range []string{"none", "shared", "disabled"} {
 			got := runSYNPAFleet(t, workers, mode)
 			if mode == "shared" {
 				if !got.PredCache.Shared {
@@ -86,22 +85,18 @@ func TestSharedCacheFleetDifferential(t *testing.T) {
 	}
 }
 
-// TestPredCacheReportAggregation pins the satellite claim directly: fleet
-// runs surface the per-machine cache traffic (previously dropped on the
-// floor) in Report.PredCache, with entry counts, in both cache modes.
+// TestPredCacheReportAggregation pins that fleet runs surface the
+// per-machine inversion traffic in Report.PredCache: without a memo every
+// inversion counts as a miss and nothing is resident; with a shared cache
+// the whole cache's traffic and entries.
 func TestPredCacheReportAggregation(t *testing.T) {
-	priv := runSYNPAFleet(t, 1, "private")
-	pc := priv.PredCache
+	none := runSYNPAFleet(t, 1, "none")
+	pc := none.PredCache
 	if pc.InvertMisses == 0 {
-		t.Fatalf("no misses recorded: %+v", pc)
+		t.Fatalf("no inversions recorded: %+v", pc)
 	}
-	if pc.InvertEntries == 0 {
-		t.Fatalf("no resident entries recorded: %+v", pc)
-	}
-	// Private mode: every distinct key was missed once per machine that
-	// saw it, so entries never exceed misses.
-	if pc.InvertEntries > int(pc.InvertMisses) {
-		t.Fatalf("entries exceed misses: %+v", pc)
+	if pc.InvertHits != 0 || pc.InvertEntries != 0 {
+		t.Fatalf("run without a memo reports hits or entries: %+v", pc)
 	}
 
 	sh := runSYNPAFleet(t, 1, "shared")
@@ -109,9 +104,12 @@ func TestPredCacheReportAggregation(t *testing.T) {
 	if !spc.Shared || spc.InvertEntries == 0 {
 		t.Fatalf("shared aggregation broken: %+v", spc)
 	}
-	// One warm cache across machines cannot miss more often than three
-	// cold private ones at the same decision sequence.
+	// One warm cache across machines cannot miss more often than the
+	// machines invert without it at the same decision sequence.
 	if spc.InvertMisses > pc.InvertMisses {
-		t.Fatalf("shared cache missed more than private caches: shared %+v private %+v", spc, pc)
+		t.Fatalf("shared cache missed more than the inversions without it: shared %+v none %+v", spc, pc)
+	}
+	if spc.InvertHits+spc.InvertMisses != pc.InvertMisses {
+		t.Fatalf("shared lookups %+v do not match the %d inversions without a memo", spc, pc.InvertMisses)
 	}
 }

@@ -1,48 +1,50 @@
-// Package predcache memoizes the SYNPA policy's per-quantum ST-vector
-// inversion (core.Model.Invert) behind keys built from the bit patterns
-// of its inputs.
+// Package predcache is the one memo of the SYNPA policy: a sharded,
+// concurrent store of Step 1's ST-vector inversions (core.Model.Invert)
+// behind keys built from the bit patterns of their inputs.
 //
-// # Why a memo layer
+// # When a memo pays
 //
-// The inversion is the one model evaluation that costs more than a
-// lookup. On a 2-CPU Xeon host it is a Newton solve of about 15 µs per
-// application, against about 0.4 µs of key building, hashing and storing
-// on a miss. It pays when the same co-runner samples come back: dynamic
-// runs re-invoke the policy off-quantum with unchanged samples, and a
-// placement server answers repeated queries (perfbench's synpad-loop
-// replays recorded ones). Closed simulated runs never repeat an input and
-// miss every time, for about 3% more than the bare inversion.
+// The memo is opt-in (core.Policy.SetSharedCache, fleet.Config.SharedCache,
+// synpad -shared-cache); a policy without one inverts straight into its
+// estimate rows. On a 2-CPU Xeon host, inverting the co-runner pairs of a
+// recorded dynamic run on its trained model takes about 1.4 µs per pair.
+// Through a Shared, a miss costs about 0.7–1 µs more (key building,
+// hashing, locking, the map insert and two result slices), and a hit about
+// 0.15 µs. Inputs are measured PMU fractions, so a simulated run almost
+// never repeats one: traced perfbench runs hit 0 of smt4-suite's lookups
+// and 2.7% of fleet-churn's. Repeats come from a placement server
+// answering replayed queries (perfbench's synpad-loop), which is why the
+// memo is shared across every caller that installs it.
 //
-// The rest of the pipeline is not memoized. A pair's degradation
-// prediction (Eq. 1) is about 20 ns of arithmetic, less than a memo hit
-// (55 ns private, 165 ns shared); a miss costs 410–480 ns and one
-// allocation, and traced perfbench runs hit 0 pair lookups in paper-suite
-// and smt4-suite and 0.17% in fleet-churn. A whole SMT2 matching at 8
-// vertices solves in about 2 µs, a miss costs about 3.6 µs, and a whole
-// matrix repeats only in replayed queries.
+// Pair predictions (Eq. 1, about 20 ns of arithmetic) and the Step 3
+// solve are never memoized: a lookup costs more than either.
 //
 // # Bit-identity
 //
 // A key is the exact 64-bit IEEE pattern of every input component: a hit
 // therefore implies the inputs are bit-identical to an earlier call, and
 // because the inversion is pure and deterministic, the memoized result is
-// bit-identical to what a fresh evaluation would return. Cached runs are
-// bit-identical to uncached runs *by construction* — no tolerance
-// argument is needed.
+// bit-identical to what a fresh evaluation would return. Memoized runs are
+// bit-identical to runs without a memo *by construction* — no tolerance
+// argument is needed. Sharing across goroutines changes only *which*
+// calls hit (see memo.get): simulation outputs cannot depend on the
+// schedule; only the hit/miss counters (and reset timing) are
+// schedule-dependent, which is why the engines exclude shared-cache
+// counter deltas from worker-count-invariant traces.
 //
 // # Structure
 //
-// One store, memo, holds the entries: the map, the deterministic full
-// clear at the entry cap and the traffic counts. A Handle is one caller's
-// view of a store and builds its keys. A private Handle (New) owns its
-// store and never locks or hashes; a Handle derived from a Shared looks
-// inversions up in the Shared's locked shards.
+// A Shared hashes keys (FNV-1a over the key bytes) onto a power-of-two
+// array of locked shards, each a map that clears at MaxEntries/shards.
+// Callers do not use a Shared directly: each goroutine derives a Handle,
+// which carries its key scratch and its own Stats so per-caller traffic
+// stays observable.
 //
 // # Ownership
 //
 // Result slices returned by Handle.Invert are owned by the memo and
-// shared between hits: callers must copy before mutating (the SYNPA policy
-// copies into its reusable estimate matrix before smoothing).
+// shared between hits and goroutines: callers must copy before mutating
+// (the SYNPA policy copies into its estimate rows before smoothing).
 package predcache
 
 import (
@@ -51,16 +53,21 @@ import (
 	"sync"
 )
 
-// DefaultMaxEntries bounds each store's entry count; on overflow the store
+// DefaultMaxEntries bounds a Shared's entry count; on overflow a shard
 // resets with a deterministic full clear (no LRU bookkeeping on the hot
 // path, and a reset changes only speed, never results).
 const DefaultMaxEntries = 1 << 15
 
-// Options tune a memo; the zero value gives the production defaults.
+// DefaultShards is the shard count when NewShared is given 0 — enough to
+// keep lock contention negligible at fleet worker counts without bloating
+// the per-shard reset granularity.
+const DefaultShards = 16
+
+// Options tune a Shared; the zero value gives the production defaults.
 type Options struct {
 	// Disabled turns the memo into a pass-through.
 	Disabled bool
-	// MaxEntries bounds each store; zero selects DefaultMaxEntries.
+	// MaxEntries bounds the whole cache; zero selects DefaultMaxEntries.
 	MaxEntries int
 }
 
@@ -86,7 +93,7 @@ func (s Stats) HitRate() float64 {
 	return 0
 }
 
-// outcome is what one get did: hit, miss, or miss that reset the store.
+// outcome is what one get did: hit, miss, or miss that reset the shard.
 type outcome uint8
 
 const (
@@ -113,27 +120,20 @@ func (s *Stats) add(o Stats) {
 	s.Resets += o.Resets
 }
 
-// memo is the one exact-key get-or-compute store. A private store
-// (locked false) is touched by one goroutine and never takes mu; a
-// Shared's shards set locked and serialise on mu.
+// InvertFn evaluates the inversion being memoized.
+type InvertFn func(a, b []float64) (ca, cb []float64, converged bool)
+
+type invertEntry struct {
+	a, b      []float64
+	converged bool
+}
+
+// memo is one shard: an exact-key get-or-compute map behind a mutex.
 type memo struct {
-	mu     sync.Mutex
-	locked bool
-	m      map[string]invertEntry
-	max    int
-	stats  Stats
-}
-
-func (c *memo) lock() {
-	if c.locked {
-		c.mu.Lock()
-	}
-}
-
-func (c *memo) unlock() {
-	if c.locked {
-		c.mu.Unlock()
-	}
+	mu    sync.Mutex
+	m     map[string]invertEntry
+	max   int
+	stats Stats
 }
 
 // get returns the entry stored under key, or evaluates fn(a, b), stores
@@ -142,18 +142,18 @@ func (c *memo) unlock() {
 // one cold key may both compute, but they evaluate a pure function on
 // bit-identical inputs, so either store publishes the same bits.
 func (c *memo) get(key []byte, a, b []float64, fn InvertFn) (invertEntry, outcome) {
-	c.lock()
+	c.mu.Lock()
 	if e, ok := c.m[string(key)]; ok {
 		c.stats.Hits++
-		c.unlock()
+		c.mu.Unlock()
 		return e, hit
 	}
 	c.stats.Misses++
-	c.unlock()
+	c.mu.Unlock()
 	var e invertEntry
 	e.a, e.b, e.converged = fn(a, b)
 	o := miss
-	c.lock()
+	c.mu.Lock()
 	if len(c.m) >= c.max {
 		// A racing caller may have stored key meanwhile; overwriting it
 		// then needs no room.
@@ -164,14 +164,14 @@ func (c *memo) get(key []byte, a, b []float64, fn InvertFn) (invertEntry, outcom
 		}
 	}
 	c.m[string(key)] = e
-	c.unlock()
+	c.mu.Unlock()
 	return e, o
 }
 
-// snapshot returns the store's traffic counts and resident entry count.
+// snapshot returns the shard's traffic counts and resident entry count.
 func (c *memo) snapshot() (Stats, int) {
-	c.lock()
-	defer c.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.stats, len(c.m)
 }
 
@@ -193,69 +193,103 @@ func pairKey(dst []byte, a, b []float64) []byte {
 	return appendKey(dst, b)
 }
 
-// InvertFn evaluates the inversion being memoized.
-type InvertFn func(a, b []float64) (ca, cb []float64, converged bool)
-
-type invertEntry struct {
-	a, b      []float64
-	converged bool
+// Shared is an N-shard concurrent memo of the inversion. Safe for use
+// from any number of goroutines; derive per-goroutine handles with Handle.
+type Shared struct {
+	opt  Options
+	mask uint64
+	inv  []memo
 }
 
-// Handle is one caller's memo: the inversion store plus the key scratch
-// and this caller's traffic counts. Not safe for concurrent use — hold
-// one per goroutine (the SYNPA policy keeps one per request arena); a
-// Shared behind it is.
+// NewShared builds a shared cache with the given options and shard count
+// (rounded up to a power of two; 0 selects DefaultShards). Options.
+// MaxEntries bounds the whole cache; each shard clears independently at
+// MaxEntries/shards.
+func NewShared(opt Options, shards int) *Shared {
+	if shards <= 0 {
+		shards = DefaultShards
+	}
+	n := 1
+	for n < shards {
+		n <<= 1
+	}
+	s := &Shared{opt: opt, mask: uint64(n - 1)}
+	if opt.Disabled {
+		return s
+	}
+	per := max(opt.maxEntries()/n, 1)
+	s.inv = make([]memo, n)
+	for i := range n {
+		s.inv[i] = memo{m: make(map[string]invertEntry), max: per}
+	}
+	return s
+}
+
+// NumShards returns the (power-of-two) shard count, 0 when disabled.
+func (s *Shared) NumShards() int { return len(s.inv) }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// shard selects the key's home shard by FNV-1a over the key bytes.
+func (s *Shared) shard(key []byte) *memo {
+	h := uint64(fnvOffset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= fnvPrime64
+	}
+	return &s.inv[h&s.mask]
+}
+
+// Handle derives a per-goroutine handle onto the shared shards.
+func (s *Shared) Handle() *Handle { return &Handle{shared: s} }
+
+// Stats sums the per-shard inversion traffic counters; pair is always
+// zero, as on Handle.Stats. Callable concurrently with traffic; a snapshot
+// taken mid-run may straddle in-flight lookups.
+func (s *Shared) Stats() (invert, pair Stats) {
+	for i := range s.inv {
+		st, _ := s.inv[i].snapshot()
+		invert.add(st)
+	}
+	return invert, Stats{}
+}
+
+// Entries counts the currently resident entries across all shards.
+func (s *Shared) Entries() int {
+	total := 0
+	for i := range s.inv {
+		_, n := s.inv[i].snapshot()
+		total += n
+	}
+	return total
+}
+
+// Handle is one caller's view of a Shared: the key scratch and this
+// caller's traffic counts. Not safe for concurrent use — hold one per
+// goroutine (the SYNPA policy keeps one per request arena); the Shared
+// behind it is.
 type Handle struct {
-	disabled bool
-	// shared, when set, holds the entries; inv is then nil.
 	shared *Shared
-	inv    *memo
 	key    []byte
 	stats  Stats
 }
 
-// New builds a private handle: a store owned by the handle, never locked,
-// keys never hashed beyond the map's own.
-func New(opt Options) *Handle {
-	h := &Handle{disabled: opt.Disabled}
-	if !opt.Disabled {
-		h.inv = &memo{m: make(map[string]invertEntry), max: opt.maxEntries()}
-	}
-	return h
-}
-
 // Invert returns fn(a, b), memoized. The returned slices are shared
-// across hits (and, with a Shared, across goroutines) and must not be
-// mutated.
+// across hits and goroutines and must not be mutated.
 func (h *Handle) Invert(a, b []float64, fn InvertFn) ([]float64, []float64, bool) {
-	if h.disabled {
+	if h.shared.opt.Disabled {
 		return fn(a, b)
 	}
 	h.key = pairKey(h.key, a, b)
-	store := h.inv
-	if h.shared != nil {
-		store = &h.shared.inv[h.shared.shard(h.key)]
-	}
-	e, o := store.get(h.key, a, b, fn)
+	e, o := h.shared.shard(h.key).get(h.key, a, b, fn)
 	h.stats.count(o)
 	return e.a, e.b, e.converged
 }
 
-// Stats returns this handle's inversion traffic (the whole cache's, for a
-// Shared, are on Shared.Stats). pair is always zero: pair predictions are
-// not memoized, and the result is kept for callers that read both.
+// Stats returns this handle's inversion traffic (the whole cache's are on
+// Shared.Stats). pair is always zero: pair predictions are not memoized,
+// and the result is kept for callers that read both.
 func (h *Handle) Stats() (invert, pair Stats) { return h.stats, Stats{} }
-
-// Entries returns the resident inversion entry count — the whole
-// Shared's when the handle is backed by one, since entries are global
-// there by design.
-func (h *Handle) Entries() int {
-	switch {
-	case h.shared != nil:
-		return h.shared.Entries()
-	case h.disabled:
-		return 0
-	}
-	_, n := h.inv.snapshot()
-	return n
-}

@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// forms is the table every memo case runs against: a private handle, and a
-// handle onto a four-shard Shared.
+// forms is the table every memo case runs against: a private memo (a
+// one-shard Shared behind a single handle, what one policy that wants a
+// memo of its own installs), and a handle onto a four-shard Shared.
 var forms = []struct {
 	name   string
 	handle func(Options) *Handle
 }{
-	{"private", New},
+	{"private", func(opt Options) *Handle { return NewShared(opt, 1).Handle() }},
 	{"shared", func(opt Options) *Handle { return NewShared(opt, 4).Handle() }},
 }
 
@@ -23,14 +24,9 @@ func forEachForm(t *testing.T, run func(t *testing.T, handle func(Options) *Hand
 	}
 }
 
-// totals returns the inversion traffic behind h: the whole Shared's for a
-// shared handle, the handle's own otherwise.
+// totals returns the whole Shared's inversion traffic behind h.
 func totals(h *Handle) Stats {
-	if h.shared != nil {
-		inv, _ := h.shared.Stats()
-		return inv
-	}
-	inv, _ := h.Stats()
+	inv, _ := h.shared.Stats()
 	return inv
 }
 
@@ -92,7 +88,7 @@ func TestPairCacheHitsAndValues(t *testing.T) {
 		if calls != 3 {
 			t.Fatal("one-ulp perturbation hit the exact-key cache")
 		}
-		if n := h.Entries(); n != 3 {
+		if n := h.shared.Entries(); n != 3 {
 			t.Fatalf("%d entries, want 3", n)
 		}
 	})
@@ -115,7 +111,7 @@ func TestPairCacheDisabled(t *testing.T) {
 		if s := totals(h); s != (Stats{}) {
 			t.Fatalf("disabled cache counted whole-cache traffic: %+v", s)
 		}
-		if n := h.Entries(); n != 0 {
+		if n := h.shared.Entries(); n != 0 {
 			t.Fatalf("disabled cache holds %d entries", n)
 		}
 	})
@@ -135,7 +131,7 @@ func TestPairCacheReset(t *testing.T) {
 		if s := totals(h); s.Resets == 0 {
 			t.Fatalf("no reset after 64 inserts into an 8-entry cache: %+v", s)
 		}
-		if n := h.Entries(); n > 8 {
+		if n := h.shared.Entries(); n > 8 {
 			t.Fatalf("%d entries exceed the 8-entry bound", n)
 		}
 		// Values stay correct across resets.
@@ -168,9 +164,6 @@ func TestInvertCacheSharesResults(t *testing.T) {
 		if ca1[0] != 3 || cb1[0] != 5 {
 			t.Fatalf("cached values %v %v", ca1, cb1)
 		}
-		if h.shared == nil {
-			return
-		}
 		// A second handle hits entries the first stored — the point of
 		// sharing — while keeping its own local stats.
 		h2 := h.shared.Handle()
@@ -183,7 +176,7 @@ func TestInvertCacheSharesResults(t *testing.T) {
 		if inv, _ := h.shared.Stats(); inv.Hits != 2 || inv.Misses != 1 {
 			t.Fatalf("shared stats %+v, want 2 hits 1 miss", inv)
 		}
-		if ei := h2.Entries(); ei != 1 {
+		if ei := h2.shared.Entries(); ei != 1 {
 			t.Fatalf("%d shared inversion entries, want 1", ei)
 		}
 	})

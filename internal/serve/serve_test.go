@@ -132,7 +132,7 @@ func TestPlaceDifferential(t *testing.T) {
 	model := core.PaperCoefficients()
 	queries := synthQueries(t, model, 48)
 	for _, shared := range []bool{false, true} {
-		name := map[bool]string{false: "private", true: "shared"}[shared]
+		name := map[bool]string{false: "none", true: "shared"}[shared]
 		t.Run(name, func(t *testing.T) {
 			_, hts := newTestServer(t, model, serve.Config{SharedCache: shared})
 
@@ -457,7 +457,7 @@ func TestStatsAndHealth(t *testing.T) {
 	model := core.PaperCoefficients()
 	queries := synthQueries(t, model, 4)
 	for _, sharedMode := range []bool{false, true} {
-		name := map[bool]string{false: "private", true: "shared"}[sharedMode]
+		name := map[bool]string{false: "none", true: "shared"}[sharedMode]
 		t.Run(name, func(t *testing.T) {
 			_, hts := newTestServer(t, model, serve.Config{SharedCache: sharedMode})
 			for _, q := range queries {
@@ -479,8 +479,8 @@ func TestStatsAndHealth(t *testing.T) {
 			if st.Generation != 1 || st.Policy == "" {
 				t.Fatalf("stats: %+v", st)
 			}
-			if want := map[bool]string{false: "private", true: "shared"}[sharedMode]; st.CacheMode != want {
-				t.Fatalf("cache mode %q, want %q", st.CacheMode, want)
+			if st.CacheMode != name {
+				t.Fatalf("cache mode %q, want %q", st.CacheMode, name)
 			}
 			if sharedMode {
 				if st.InvertCache == nil || st.InvertCache.Hits+st.InvertCache.Misses == 0 {
@@ -601,5 +601,44 @@ func TestUnencodableAnswer(t *testing.T) {
 	if c["synpad.batch.errors"] != 2 || c["synpad.batch.queries"] != 0 {
 		t.Fatalf("synpad.batch.errors = %d, queries = %d; want 2 and 0",
 			c["synpad.batch.errors"], c["synpad.batch.queries"])
+	}
+}
+
+// TestHandlerRecoversPanics drives a panicking route through Handler: a
+// policy whose extractor panics must answer POST /v1/place with a JSON 500
+// and a count in synpad.panics, not a dropped connection, and the server
+// must keep serving afterwards.
+func TestHandlerRecoversPanics(t *testing.T) {
+	model := core.PaperCoefficients()
+	q := synthQueries(t, model, 2)[1] // carries samples and a previous placement
+	body, _ := json.Marshal(q)
+	reg := obs.NewRegistry()
+	boom := func(pmu.Counters, int) []float64 { panic("extractor exploded") }
+	_, hts := newTestServer(t, model, serve.Config{Registry: reg, Policy: core.PolicyOptions{Extract: boom}})
+
+	for i := range 2 {
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", body)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: %s: %s", i, resp.Status, raw)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("request %d: content type %q", i, ct)
+		}
+		var e serve.ErrorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "extractor exploded") {
+			t.Fatalf("request %d: body %s (%v), want an ErrorResponse naming the panic", i, raw, err)
+		}
+	}
+	if got := reg.Counter("synpad.panics").Value(); got != 2 {
+		t.Fatalf("synpad.panics = %d, want 2", got)
+	}
+	// The concurrency slots were released: the server still answers.
+	resp, err := hts.Client().Get(hts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after panics: %s", resp.Status)
 	}
 }

@@ -34,16 +34,16 @@ import (
 	"synpa/internal/predcache"
 )
 
-// Config tunes a placement server. The zero value serves with a private
-// inversion memo per request and production-safe limits.
+// Config tunes a placement server. The zero value serves without an
+// inversion memo and with production-safe limits.
 type Config struct {
 	// Policy tunes the SYNPA policy built around each installed model
-	// (matcher, extractor, cache options — core.PolicyOptions semantics).
+	// (matcher, extractor, inversion — core.PolicyOptions semantics).
 	Policy core.PolicyOptions
-	// SharedCache, when true, installs one predcache.Shared per serving
-	// generation so all in-flight requests warm one inversion memo
-	// (bit-identical by construction); false gives each pooled arena a
-	// private inversion memo.
+	// SharedCache, when true, installs one predcache.Shared with default
+	// options per serving generation so all in-flight requests warm one
+	// inversion memo (bit-identical by construction); false inverts every
+	// query directly.
 	SharedCache bool
 	// MaxRequestBytes bounds one /v1/place or /v1/model body, and one
 	// /v1/place/batch line with its newline (default 1 MiB). A batch line
@@ -95,7 +95,7 @@ func newServing(m *core.Model, gen int64, cfg Config) (*serving, error) {
 		return nil, err
 	}
 	if cfg.SharedCache {
-		p.SetSharedCache(predcache.NewShared(cfg.Policy.Cache, 0))
+		p.SetSharedCache(predcache.NewShared(predcache.Options{}, 0))
 	}
 	sv := &serving{policy: p, gen: gen}
 	sv.arenas.New = func() any { return p.NewArena() }
@@ -110,7 +110,7 @@ func (sv *serving) release(a *core.Arena) { sv.arenas.Put(a) }
 type metrics struct {
 	placeRequests, placeErrors               *obs.Counter
 	batchRequests, batchQueries, batchErrors *obs.Counter
-	swaps, swapErrors, rejected              *obs.Counter
+	swaps, swapErrors, rejected, panics      *obs.Counter
 	generation                               *obs.Gauge
 	placeLatency                             *obs.Histogram
 }
@@ -125,6 +125,7 @@ func newMetrics(r *obs.Registry) metrics {
 		swaps:         r.Counter("synpad.model.swaps"),
 		swapErrors:    r.Counter("synpad.model.errors"),
 		rejected:      r.Counter("synpad.rejected"),
+		panics:        r.Counter("synpad.panics"),
 		generation:    r.Gauge("synpad.generation"),
 		placeLatency:  r.Histogram("synpad.place.latency_ns"),
 	}
@@ -140,9 +141,9 @@ type Server struct {
 	gen    atomic.Int64
 	swapMu sync.Mutex // serialises generation bumps, never request traffic
 
-	sem chan struct{}
-	hs  *http.Server
-	mux *http.ServeMux
+	sem     chan struct{}
+	hs      *http.Server
+	handler http.Handler
 }
 
 // New builds a placement server around an initial model (generation 1).
@@ -156,19 +157,43 @@ func New(model *core.Model, cfg Config) (*Server, error) {
 	s.cur.Store(sv)
 	s.m.generation.Set(sv.gen)
 
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
-	s.mux.HandleFunc("POST /v1/place/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/model", s.handleModel)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: 10 * time.Second}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/place", s.handlePlace)
+	mux.HandleFunc("POST /v1/place/batch", s.handleBatch)
+	mux.HandleFunc("POST /v1/model", s.handleModel)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.handler = s.recoverPanics(mux)
+	s.hs = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
 	return s, nil
 }
 
 // Handler exposes the server's routes, for callers embedding the placement
 // surface into their own http.Server (or an httptest one).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
+
+// recoverPanics answers a panic in h with a JSON 500 and counts it in
+// synpad.panics; without it net/http drops the connection and the client
+// sees no reason. A handler that panics after writing its header (a batch
+// stream mid-way) gets the error line appended to what it wrote. The
+// handlers' deferred cleanups run first, so the concurrency slot is
+// released. http.ErrAbortHandler keeps its meaning.
+func (s *Server) recoverPanics(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			s.m.panics.Add(1)
+			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: fmt.Sprintf("internal error: %v", v)})
+		}()
+		h.ServeHTTP(w, r)
+	})
+}
 
 // Generation returns the current serving generation (1-based; each
 // successful model swap increments it).
@@ -375,10 +400,10 @@ type CacheStat struct {
 	Entries int    `json:"entries"`
 }
 
-// StatsResponse is GET /v1/stats's body: the serving identity, the shared
-// cache's traffic (shared mode only — private per-arena memo counts live
-// and die with their pooled arenas) and the full metrics registry snapshot
-// (request counters, decision-latency histogram).
+// StatsResponse is GET /v1/stats's body: the serving identity, the cache
+// mode ("shared", or "none" without a memo), the shared cache's traffic
+// (shared mode only) and the full metrics registry snapshot (request
+// counters, decision-latency histogram).
 type StatsResponse struct {
 	Generation  int64        `json:"generation"`
 	Policy      string       `json:"policy"`
@@ -392,7 +417,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Generation: sv.gen,
 		Policy:     sv.policy.Name(),
-		CacheMode:  "private",
+		CacheMode:  "none",
 		Metrics:    s.cfg.Registry.Snapshot(),
 	}
 	if shared := sv.policy.SharedCache(); shared != nil {

@@ -70,9 +70,9 @@ type FleetConfig struct {
 	// beyond the bound are never dispatched (FleetReport.Truncated).
 	MaxCycles uint64
 	// SharedCache, when non-nil, is installed into every policy that
-	// supports it (the SYNPA policy does): one concurrent prediction memo
-	// warms across the whole fleet instead of per machine. Bit-identical
-	// by construction; see NewSharedPredCache.
+	// supports it (the SYNPA policy does): one concurrent inversion memo
+	// warms across the whole fleet; without it every machine inverts
+	// directly. Bit-identical by construction; see NewSharedPredCache.
 	SharedCache *SharedPredCache
 	// SketchAlpha is the relative accuracy of the streaming quantile
 	// sketches (0 = the stats package default, 0.5%).

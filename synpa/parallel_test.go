@@ -3,6 +3,8 @@ package synpa
 import (
 	"reflect"
 	"testing"
+
+	"synpa/internal/core"
 )
 
 // trainTiny builds a small system at the given worker count with a model
@@ -68,23 +70,26 @@ func TestRunDynamicWorkersBitIdentical(t *testing.T) {
 }
 
 // TestPredcacheBitIdentical pins the interference-prediction memo layer:
-// the SYNPA policy with caching disabled must reproduce the cached policy
-// bit for bit (exact keys make hits equivalent to fresh evaluations).
+// the SYNPA policy with a shared memo installed must reproduce the policy
+// without one bit for bit (exact keys make hits equivalent to fresh
+// evaluations).
 func TestPredcacheBitIdentical(t *testing.T) {
 	sys, model := trainTiny(t, 1)
 	apps := []string{"mcf", "leela_r", "lbm_r", "gobmk", "mcf", "perlbench", "leela_r", "lbm_r"}
 
-	cached, err := sys.Run(apps, sys.SYNPAPolicy(model))
+	uncached, err := sys.Run(apps, sys.SYNPAPolicy(model))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sys.SYNPAPolicyWithOptions(model, PolicyOptions{Cache: PredCacheOptions{Disabled: true}})
+	memo := NewSharedPredCache(PredCacheOptions{}, 0)
+	pol := sys.SYNPAPolicy(model).(*core.Policy)
+	pol.SetSharedCache(memo)
+	cached, err := sys.Run(apps, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached, err := sys.Run(apps, plain)
-	if err != nil {
-		t.Fatal(err)
+	if inv, _ := memo.Stats(); inv.Misses == 0 {
+		t.Fatal("the shared memo saw no lookups — the differential is vacuous")
 	}
 	if !reflect.DeepEqual(cached, uncached) {
 		t.Fatalf("cached and uncached policies diverge:\ncached:   %+v\nuncached: %+v", cached, uncached)

@@ -54,9 +54,10 @@ type (
 	Placement = machine.Placement
 	// PolicyOptions tune the SYNPA policy (matcher, inversion, extractor).
 	PolicyOptions = core.PolicyOptions
-	// PredCacheOptions tunes the SYNPA policy's inversion memo
-	// (PolicyOptions.Cache): exact-key memoization is on by default and
-	// bit-identical by construction; Disabled turns it off.
+	// PredCacheOptions tunes a SharedPredCache. The SYNPA policy has no
+	// memo unless one is installed; exact-key memoization is
+	// bit-identical by construction, and Disabled passes every lookup
+	// through.
 	PredCacheOptions = predcache.Options
 	// SharedPredCache is a sharded concurrent prediction memo one whole
 	// fleet (or any number of concurrent PlaceR callers) shares; build
