@@ -74,13 +74,9 @@ func TestPlaceRMatchesPlaceAcrossCacheModes(t *testing.T) {
 		t.Fatal("shared cache saw no traffic — the differential is vacuous")
 	}
 
-	// A disabled shared cache passes every inversion through, and
-	// uninstalling the cache reverts to direct inversion.
+	// Uninstalling the cache reverts to direct inversion.
 	pd := MustPolicy(m, PolicyOptions{})
-	pd.SetSharedCache(predcache.NewShared(predcache.Options{Disabled: true}, 4))
-	if !reflect.DeepEqual(drivePlacements(pd.Place, quanta, apps, cores), want) {
-		t.Fatal("disabled shared cache diverged from direct inversion")
-	}
+	pd.SetSharedCache(predcache.NewShared(predcache.Options{}, 4))
 	pd.SetSharedCache(nil)
 	if !reflect.DeepEqual(drivePlacements(pd.Place, quanta, apps, cores), want) {
 		t.Fatal("uninstalled shared cache diverged from direct inversion")

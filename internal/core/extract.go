@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"synpa/internal/characterize"
 	"synpa/internal/pmu"
 )
@@ -9,6 +11,22 @@ import (
 // category-fraction vector for a model. Fractions are normalised to the
 // sample's cycles and sum to ~1.
 type Extractor func(c pmu.Counters, width int) []float64
+
+// ExtractorFor returns the extractor that reads a K-category model's
+// fractions from the PMU: ThreeCategoryFractions for the paper's final
+// model (K = 3), TenCategoryFractions for the §VI-A preliminary one
+// (K = 10). Any other K has no extractor, so no policy can serve it. The
+// choice goes by K alone: a three-category model may name its categories
+// as it likes.
+func ExtractorFor(k int) (Extractor, error) {
+	switch k {
+	case 3:
+		return ThreeCategoryFractions, nil
+	case 10:
+		return TenCategoryFractions, nil
+	}
+	return nil, fmt.Errorf("core: no extractor for a %d-category model (want 3 or 10)", k)
+}
 
 // ThreeCategoryFractions extracts the paper's final three categories
 // (full-dispatch, frontend stalls, backend stalls) using the §III-B

@@ -33,7 +33,7 @@ func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) []
 	frac := a.frac[:n]
 	est := a.newEstMatrix(n, k)
 	for i := range frac {
-		frac[i] = p.opt.Extract(st.Samples[i], st.DispatchWidth)
+		frac[i] = p.extract(st.Samples[i], st.DispatchWidth)
 		copy(est[i], frac[i]) // the inversions below overwrite co-running apps' rows
 		normalize(est[i])
 	}
@@ -63,7 +63,7 @@ func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) []
 // memo when the policy has one.
 func (p *Policy) invert(a *Arena, fi, fj, ci, cj []float64) {
 	if a.memo == nil {
-		p.model.InvertInto(fi, fj, ci, cj, p.opt.Inversion)
+		p.model.InvertInto(fi, fj, ci, cj, DefaultInversion())
 		a.inverted++
 		return
 	}
@@ -102,10 +102,10 @@ func (a *Arena) coRunnerMean(frac [][]float64, g []int, i int) []float64 {
 // with their cost under grouping.PartitionCost. At SMT2 it runs the
 // configured matcher on the idle-padded graph; at every other
 // level it runs grouping.Partition through the arena's workspace.
-func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo float64) ([][]int, float64, error) {
+func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int) ([][]int, float64, error) {
 	if level != 2 {
 		t0 := perfstat.PhaseClock()
-		res, err := a.gws.Partition(w, numCores, level, p.opt.Grouping)
+		res, err := a.gws.Partition(w, numCores, level, grouping.Options{})
 		perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
 		if err != nil {
 			return nil, 0, err
@@ -117,7 +117,7 @@ func (p *Policy) group(a *Arena, w [][]float64, n, numCores, level int, solo flo
 		return nil, 0, err
 	}
 	groups := a.matchedGroups(mate, n)
-	return groups, grouping.PartitionCost(w, groups, solo), nil
+	return groups, grouping.PartitionCost(w, groups, grouping.DefaultSoloCost), nil
 }
 
 // matchedGroups turns a matching on the idle-padded graph into canonical

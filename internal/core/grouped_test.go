@@ -166,30 +166,25 @@ func TestPlaceSMT1Singletons(t *testing.T) {
 }
 
 // TestPlaceGroupedHysteresisSoloCost pins the solo-cost scale of the
-// grouped hysteresis: with a custom Grouping.SoloCost, the previous
-// placement's cost must be priced on the same scale as the fresh
-// partition's, or hysteresis pins the policy to Prev forever.
+// grouped hysteresis: the previous placement must be priced under the same
+// matrix and grouping.DefaultSoloCost as the fresh partition, or
+// hysteresis pins the policy to Prev. Three apps crowded onto one core of
+// an SMT4 machine pay three pair terms of about 2 each, while running each
+// alone costs 3·DefaultSoloCost, so the policy must spread them out.
 func TestPlaceGroupedHysteresisSoloCost(t *testing.T) {
-	// Two cores at SMT4, three apps, previous placement all solo-ish:
-	// {0,1} paired and {2} solo. With SoloCost 3 the solo group is
-	// expensive, so merging everyone should clear any small hysteresis.
-	opts := PolicyOptions{Hysteresis: 0.01}
-	opts.Grouping.SoloCost = 3
-	p := MustPolicy(PaperCoefficients(), opts)
+	p := MustPolicy(PaperCoefficients(), PolicyOptions{Hysteresis: 0.01})
 	rng := xrand.New(23)
 	st := &machine.QuantumState{
 		Quantum: 1, NumApps: 3, NumCores: 3, DispatchWidth: 4, SMTLevel: 4,
-		Prev:    machine.Placement{0, 1, 2}, // three expensive solos under SoloCost 3
+		Prev:    machine.Placement{0, 0, 0},
 		Samples: randSamples(rng, 3),
 	}
 	place := p.Place(st)
 	if err := place.Validate(3, 4); err != nil {
 		t.Fatal(err)
 	}
-	// Under SoloCost 3 the previous all-solo grouping costs 9 while any
-	// pairing costs ~2+3 < 9; a correctly scaled hysteresis must migrate.
-	if reflect.DeepEqual(place, st.Prev) {
-		t.Fatalf("hysteresis kept the all-solo placement despite SoloCost 3: %v", place)
+	if place[0] == place[1] || place[0] == place[2] || place[1] == place[2] {
+		t.Fatalf("hysteresis kept apps co-running although solo runs cost less: %v", place)
 	}
 }
 

@@ -43,11 +43,11 @@ func (m Matcher) String() string {
 }
 
 // PolicyOptions tune the SYNPA policy; the zero value plus a model gives the
-// paper's configuration.
+// paper's configuration. The model fixes the rest: its K picks the
+// category extractor (ExtractorFor), the inversion runs with
+// DefaultInversion, and a solo application costs grouping.DefaultSoloCost
+// at every SMT level.
 type PolicyOptions struct {
-	// Extract converts PMU samples to category fractions. Defaults to
-	// ThreeCategoryFractions.
-	Extract Extractor
 	// Matcher selects the pair-selection algorithm at SMT2. Defaults to
 	// Blossom.
 	Matcher Matcher
@@ -68,15 +68,6 @@ type PolicyOptions struct {
 	// noise (same noise-compensation argument as Smoothing). Zero selects
 	// the default (0.01); negative disables hysteresis.
 	Hysteresis float64
-	// Inversion tunes the inversion solver; zero value uses defaults.
-	Inversion InversionOptions
-	// Grouping tunes the set-partition solver used at every SMT level but
-	// two (internal/grouping); the zero value gives the production
-	// defaults (the exact partition search, with the subset DP on ties,
-	// for small live sets; greedy + local search beyond).
-	// Its solo cost prices an application running alone at every level,
-	// the idle-slot edges of the SMT2 matching included.
-	Grouping grouping.Options
 	// Name overrides the policy name in experiment output.
 	Name string
 }
@@ -95,9 +86,11 @@ type PolicyOptions struct {
 type Policy struct {
 	model *Model
 	opt   PolicyOptions
+	// extract reads the model's category fractions from a PMU sample.
+	extract Extractor
 
 	// invertFn is the inversion a shared memo evaluates on a miss (a
-	// read-only closure over model+opt).
+	// read-only closure over the model).
 	invertFn predcache.InvertFn
 
 	// shared is the optional concurrent memo behind every arena; nil
@@ -109,7 +102,8 @@ type Policy struct {
 
 var _ machine.Policy = (*Policy)(nil)
 
-// NewPolicy builds a SYNPA policy around a trained model.
+// NewPolicy builds a SYNPA policy around a trained model. A model with no
+// extractor (ExtractorFor) is refused here, before any decision reads it.
 func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil model")
@@ -117,11 +111,9 @@ func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Extract == nil {
-		opt.Extract = ThreeCategoryFractions
-	}
-	if opt.Inversion.MaxOuter == 0 {
-		opt.Inversion = DefaultInversion()
+	extract, err := ExtractorFor(m.K())
+	if err != nil {
+		return nil, err
 	}
 	switch {
 	case opt.Smoothing == 0:
@@ -143,9 +135,9 @@ func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	case opt.Hysteresis >= 1:
 		return nil, fmt.Errorf("core: hysteresis %v must be below 1", opt.Hysteresis)
 	}
-	p := &Policy{model: m, opt: opt}
+	p := &Policy{model: m, opt: opt, extract: extract}
 	p.invertFn = func(a, b []float64) ([]float64, []float64, bool) {
-		return p.model.Invert(a, b, p.opt.Inversion)
+		return p.model.Invert(a, b, DefaultInversion())
 	}
 	p.initArena(&p.def)
 	return p, nil
@@ -206,7 +198,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		return arrivalOrderPlacement(st.NumApps, st.NumCores)
 	}
 	n, level := st.NumApps, st.ThreadsPerCore()
-	solo := p.opt.Grouping.ResolvedSoloCost()
+	const solo = grouping.DefaultSoloCost
 
 	// Step 1: estimate each application's ST category vector. The estimate
 	// matrix is double-buffered across quanta and the inversions write
@@ -246,7 +238,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 	}
 
 	// Step 3: select the most synergistic co-runner groups.
-	groups, cost, err := p.group(a, w, n, st.NumCores, level, solo)
+	groups, cost, err := p.group(a, w, n, st.NumCores, level)
 	if err != nil {
 		// Neither solver can fail on a validated live set; if one somehow
 		// does, keep the previous placement rather than crash the manager

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -255,5 +256,93 @@ func TestGreedyMatchComplete(t *testing.T) {
 				t.Fatalf("greedy left vertex %d unmatched: %v", i, mate)
 			}
 		}
+	}
+}
+
+// tenCategoryModel is a 10-category model (the §VI-A preliminary model's
+// shape) with moderate interference in every category.
+func tenCategoryModel() *Model {
+	m := &Model{Categories: TenCategories}
+	for k := range TenCategories {
+		m.Coef = append(m.Coef, Coefficients{Alpha: 0.01 * float64(k%3), Beta: 1, Gamma: 0.05, Rho: 0.02})
+	}
+	return m
+}
+
+// TestExtractorFor pins the model-to-extractor choice: K alone picks it.
+func TestExtractorFor(t *testing.T) {
+	var c pmu.Counters
+	c[pmu.CPUCycles] = 1000
+	for k, want := range map[int]int{3: 3, 10: 10} {
+		ex, err := ExtractorFor(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(ex(c, 4)); got != want {
+			t.Fatalf("ExtractorFor(%d) extracts %d categories", k, got)
+		}
+	}
+	for _, k := range []int{0, 1, 2, 4, 5, 9, 11} {
+		if _, err := ExtractorFor(k); err == nil {
+			t.Fatalf("ExtractorFor(%d) accepted", k)
+		}
+	}
+}
+
+// TestTenCategoryModelPlacesPairs drives a 10-category model through a
+// paired SMT2 decision: the policy must read the samples with
+// TenCategoryFractions, invert both pairs and price every candidate pair
+// with a finite degradation.
+func TestTenCategoryModelPlacesPairs(t *testing.T) {
+	m := tenCategoryModel()
+	p, err := NewPolicy(m, PolicyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(10)
+	samples := randSamples(rng, 4)
+	for i := range samples {
+		c := &samples[i]
+		fe, be := c[pmu.StallFrontend], c[pmu.StallBackend]
+		c[pmu.StallFEICache], c[pmu.StallFEBranch] = fe/2, fe-fe/2
+		c[pmu.StallBEMemLat], c[pmu.StallBEROB], c[pmu.StallBEOther] = be/2, be/4, be-be/2-be/4
+	}
+	st := &machine.QuantumState{
+		Quantum: 1, NumApps: 4, NumCores: 2, DispatchWidth: 4, SMTLevel: 2,
+		Prev:    machine.Placement{0, 0, 1, 1},
+		Samples: samples,
+	}
+	if err := p.Place(st).Validate(2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if inv, _ := p.CacheStats(); inv.Misses != 2 {
+		t.Fatalf("%d inversions, want one per pair (2)", inv.Misses)
+	}
+	est := p.LastSTEstimates()
+	for i := range est {
+		if len(est[i]) != 10 {
+			t.Fatalf("app %d estimate has %d categories, want 10", i, len(est[i]))
+		}
+		for j := i + 1; j < len(est); j++ {
+			if d := m.PairDegradation(est[i], est[j]); math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("pair (%d,%d) degradation %v", i, j, d)
+			}
+		}
+	}
+}
+
+// TestNewPolicyRefusesUnsupportedK: a model with no extractor (here five
+// categories) is refused at construction, before any decision reads it.
+func TestNewPolicyRefusesUnsupportedK(t *testing.T) {
+	m := &Model{}
+	for k := range 5 {
+		m.Categories = append(m.Categories, string(rune('a'+k)))
+		m.Coef = append(m.Coef, Coefficients{Beta: 1})
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("the K=5 model must be valid apart from its K: %v", err)
+	}
+	if _, err := NewPolicy(m, PolicyOptions{}); err == nil {
+		t.Fatal("NewPolicy accepted a 5-category model")
 	}
 }

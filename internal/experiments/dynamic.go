@@ -96,16 +96,13 @@ func (s *Suite) runDynamicAdm(tr workload.Trace, factory PolicyFactory, adm admi
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.cfg.Machine
-	if s.cfg.Parallel {
-		cfg.Parallel = false
-	}
+	cfg := s.machineConfig()
 	mach, err := machine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	res, err := mach.RunDynamic(work, factory.New(), machine.DynamicOptions{
-		Seed:      s.cfg.Seed + hashString(tr.Name),
+		Seed:      s.cfg.Seed + workload.Hash(tr.Name),
 		MaxCycles: uint64(s.cfg.MaxQuanta) * cfg.QuantumCycles,
 		Admission: adm,
 		Obs:       s.cfg.Obs,

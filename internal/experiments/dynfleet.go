@@ -106,7 +106,7 @@ func (s *Suite) fleetWorkers() int {
 // runFleet executes one scenario under one dispatch discipline and one
 // placement factory.
 func (s *Suite) runFleet(sc FleetScenario, dispatch string, factory PolicyFactory, model *core.Model) (*fleet.Report, error) {
-	src := fleet.NewTraceSource(s.targets, sc.Stream(), s.cfg.Machine.Core.DispatchWidth)
+	src := fleet.NewTraceSource(s.targets, sc.Stream(), model, s.cfg.Machine.Core.DispatchWidth)
 	cfg := fleet.Config{
 		Machines:  sc.Machines,
 		Machine:   s.cfg.Machine,
@@ -243,7 +243,7 @@ func (s *Suite) DynFleetScale(opt FleetScaleOptions) (*Table, error) {
 	isoCycles := 2 * float64(s.cfg.Machine.QuantumCycles)
 	gap := isoCycles / (0.5 * float64(threads))
 	src := fleet.NewTraceSource(s.targets,
-		workload.PoissonStream("fleet-scale", s.cfg.Seed+23, fleetPool(), jobs, gap, work), 0)
+		workload.PoissonStream("fleet-scale", s.cfg.Seed+23, fleetPool(), jobs, gap, work), nil, 0)
 	rep, err := fleet.Run(fleet.Config{
 		Machines:  machines,
 		Machine:   s.cfg.Machine,

@@ -107,7 +107,6 @@ func TestDynFleetWorkersBitIdentical(t *testing.T) {
 	run := func(workers int) *fleet.Report {
 		cfg := fastConfig()
 		cfg.Parallel = false
-		cfg.Machine.Parallel = true
 		cfg.Machine.Workers = workers
 		s := NewSuite(cfg)
 		sc := FleetScenarios(cfg.Seed, cfg.Machine.QuantumCycles)[2]

@@ -88,7 +88,7 @@ func TestFB2AssignmentRanking(t *testing.T) {
 				assign[f] = k
 			}
 			mcfg := cfg.Machine
-			mcfg.Parallel = false
+			mcfg.Workers = 1
 			m, _ := machine.New(mcfg)
 			res, err := m.Run(w.Apps, targets, machinePinned{assign}, machine.RunnerOptions{Seed: cfg.Seed})
 			if err != nil {

@@ -29,12 +29,12 @@ func (s *Suite) isolatedProfiles() (map[string]isoProfile, error) {
 		profiles := make([]isoProfile, len(catalog))
 		s.isoErr = pool.Run(len(catalog), s.cfg.Parallel, func(i int) error {
 			m := catalog[i]
-			samples, err := machine.RunIsolated(m, s.cfg.Seed^hashString(m.Name), s.cfg.RefQuanta, s.cfg.Machine)
+			runs, err := machine.RunPinned([]*apps.Model{m}, []uint64{s.cfg.Seed ^ workload.Hash(m.Name)}, s.cfg.RefQuanta, s.cfg.Machine)
 			if err != nil {
 				return err
 			}
 			var agg pmu.Counters
-			for _, smp := range samples {
+			for _, smp := range runs[0] {
 				agg = agg.Add(smp)
 			}
 			profiles[i] = isoProfile{

@@ -18,7 +18,6 @@ import (
 func workersConfig(workers int) Config {
 	cfg := fastConfig()
 	cfg.Parallel = false
-	cfg.Machine.Parallel = true
 	cfg.Machine.Workers = workers
 	return cfg
 }

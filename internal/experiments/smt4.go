@@ -18,6 +18,7 @@ import (
 	"synpa/internal/metrics"
 	"synpa/internal/pool"
 	"synpa/internal/sched"
+	"synpa/internal/workload"
 	"synpa/internal/xrand"
 )
 
@@ -86,19 +87,16 @@ func (s *Suite) SMT4Table() (*Table, error) {
 	if err := pool.Run(len(jobs), s.cfg.Parallel, func(i int) error {
 		j := jobs[i]
 		cc := configs[j.cfgIdx]
-		cfg := s.cfg.Machine
+		cfg := s.machineConfig()
 		cfg.Cores = cc.cores
 		cfg.Core.SMTLevel = cc.level
-		if s.cfg.Parallel {
-			cfg.Parallel = false
-		}
 		m, err := machine.New(cfg)
 		if err != nil {
 			return err
 		}
 		factory := policies[j.polIdx]
 		res, err := m.Run(models, targets, factory.New(), machine.RunnerOptions{
-			Seed:      s.cfg.Seed + hashString(cc.label+"/"+factory.Label),
+			Seed:      s.cfg.Seed + workload.Hash(cc.label+"/"+factory.Label),
 			MaxQuanta: s.cfg.MaxQuanta,
 		})
 		if err != nil {

@@ -199,19 +199,13 @@ func (s *Suite) Run(w workload.Workload, factory PolicyFactory, rep int) (*machi
 			slot.err = err
 			return
 		}
-		cfg := s.cfg.Machine
-		// When the caller fans runs out across CPUs, per-run core
-		// parallelism only adds scheduling overhead.
-		if s.cfg.Parallel {
-			cfg.Parallel = false
-		}
-		m, err := machine.New(cfg)
+		m, err := machine.New(s.machineConfig())
 		if err != nil {
 			slot.err = err
 			return
 		}
 		res, err := m.Run(w.Apps, targets, factory.New(), machine.RunnerOptions{
-			Seed:      s.cfg.Seed + uint64(rep)*0x1000 + hashString(w.Name),
+			Seed:      s.cfg.Seed + uint64(rep)*0x1000 + workload.Hash(w.Name),
 			MaxQuanta: s.cfg.MaxQuanta,
 			// Per-quantum traces feed Fig. 6, Fig. 7 and Table V, which
 			// analyse the three published workloads only; skipping the
@@ -233,13 +227,16 @@ func (s *Suite) Run(w workload.Workload, factory PolicyFactory, rep int) (*machi
 	return slot.res, slot.err
 }
 
-func hashString(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// machineConfig is the configuration of one suite run's machine. When the
+// suite fans runs out across CPUs itself, per-run core parallelism only
+// adds scheduling overhead, so a run without an explicit worker count
+// steps its cores serially.
+func (s *Suite) machineConfig() machine.Config {
+	cfg := s.cfg.Machine
+	if s.cfg.Parallel && cfg.Workers <= 0 {
+		cfg.Workers = 1
 	}
-	return h
+	return cfg
 }
 
 // runAllPairs executes every (workload × {Linux, SYNPA} × rep) combination,

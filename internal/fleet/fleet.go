@@ -45,7 +45,7 @@ import (
 type Config struct {
 	// Machines is the cluster size.
 	Machines int
-	// Machine configures every machine identically. Parallel/Workers are
+	// Machine configures every machine identically. Its Workers is
 	// ignored: fleet machines step serially within themselves, and the
 	// fleet shards across machines instead (Workers below).
 	Machine machine.Config
@@ -72,9 +72,6 @@ type Config struct {
 	// time. Zero selects GOMAXPROCS; one serialises. Results are
 	// bit-identical at every worker count.
 	Workers int
-	// SketchAlpha is the quantile sketches' relative accuracy; zero
-	// selects the stats package default.
-	SketchAlpha float64
 	// SharedCache, when non-nil, is a concurrent inversion memo
 	// (predcache.Shared) installed into every policy that supports it
 	// (core.Policy via SetSharedCache): the whole fleet shares one warm
@@ -250,7 +247,6 @@ type classAgg struct {
 
 // aggregate is the fleet's O(classes) streaming metric state.
 type aggregate struct {
-	alpha    float64
 	resp     *stats.Sketch
 	respMom  stats.Moments
 	anttMom  stats.Moments
@@ -267,7 +263,7 @@ type aggregate struct {
 func (a *aggregate) class(prio int) *classAgg {
 	cs := a.classes[prio]
 	if cs == nil {
-		cs = &classAgg{prio: prio, sketch: stats.NewSketch(a.alpha)}
+		cs = &classAgg{prio: prio, sketch: stats.NewSketch(stats.DefaultSketchAlpha)}
 		a.classes[prio] = cs
 	}
 	return cs
@@ -329,7 +325,6 @@ func Run(cfg Config, src Source) (*Report, error) {
 		return nil, fmt.Errorf("fleet: nil policy factory")
 	}
 	mcfg := cfg.Machine
-	mcfg.Parallel = false
 	mcfg.Workers = 1
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
@@ -382,13 +377,12 @@ func Run(cfg Config, src Source) (*Report, error) {
 		return nil, err
 	}
 
-	workers := machine.ResolveWorkers(cfg.Workers, cfg.Machines, true)
+	workers := machine.ResolveWorkers(cfg.Workers, cfg.Machines)
 	sp := pool.NewShardPool(workers)
 	defer sp.Close()
 
 	agg := &aggregate{
-		alpha:    cfg.SketchAlpha,
-		resp:     stats.NewSketch(cfg.SketchAlpha),
+		resp:     stats.NewSketch(stats.DefaultSketchAlpha),
 		classes:  map[int]*classAgg{},
 		uniform:  true,
 		inFlight: map[int]float64{},

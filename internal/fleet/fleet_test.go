@@ -27,7 +27,7 @@ func (spreadPolicy) Place(st *machine.QuantumState) machine.Placement {
 func testMachineConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.QuantumCycles = 5_000
-	cfg.Parallel = false
+	cfg.Workers = 1
 	return cfg
 }
 

@@ -18,8 +18,8 @@ import (
 
 // runSYNPAFleet runs the standard scenario with real SYNPA policies (the
 // only policies with a prediction cache) in the given cache mode: "none"
-// (every machine inverts directly), "shared" (one fleet-wide concurrent
-// cache) or "disabled" (a shared cache that passes every lookup through).
+// (every machine inverts directly) or "shared" (one fleet-wide concurrent
+// cache).
 func runSYNPAFleet(t *testing.T, workers int, mode string) *Report {
 	t.Helper()
 	cfg := Config{
@@ -33,11 +33,8 @@ func runSYNPAFleet(t *testing.T, workers int, mode string) *Report {
 			return core.MustPolicy(core.PaperCoefficients(), core.PolicyOptions{})
 		},
 	}
-	switch mode {
-	case "shared":
+	if mode == "shared" {
 		cfg.SharedCache = predcache.NewShared(predcache.Options{}, 4)
-	case "disabled":
-		cfg.SharedCache = predcache.NewShared(predcache.Options{Disabled: true}, 4)
 	}
 	rep, err := Run(cfg, &sliceSource{jobs: testJobs(t, 48)})
 	if err != nil {
@@ -67,7 +64,7 @@ func TestSharedCacheFleetDifferential(t *testing.T) {
 	}
 	want := normalizeCacheReport(base)
 	for _, workers := range []int{1, 4} {
-		for _, mode := range []string{"none", "shared", "disabled"} {
+		for _, mode := range []string{"none", "shared"} {
 			got := runSYNPAFleet(t, workers, mode)
 			if mode == "shared" {
 				if !got.PredCache.Shared {

@@ -27,9 +27,10 @@ type Job struct {
 	// IsoCycles is the isolated execution time of the job's scaled work,
 	// the normalization denominator for response times.
 	IsoCycles float64
-	// Cats is the application's isolated three-category fraction vector
-	// (nil when the source does not characterise apps); the
-	// interference-aware dispatcher scores machines with it.
+	// Cats is the application's isolated category fraction vector, one
+	// entry per category of the dispatch model (nil when the source does
+	// not characterise apps); the interference-aware dispatcher scores
+	// machines with it.
 	Cats []float64
 }
 
@@ -54,10 +55,11 @@ type appInfo struct {
 
 // traceSource adapts a workload trace stream into fleet jobs.
 type traceSource struct {
-	tc    *workload.TargetCache
-	ts    workload.TraceStream
-	width int
-	memo  map[string]*appInfo
+	tc      *workload.TargetCache
+	ts      workload.TraceStream
+	extract core.Extractor // nil: no characterisation
+	width   int
+	memo    map[string]*appInfo
 
 	n       int
 	last    uint64
@@ -67,14 +69,22 @@ type traceSource struct {
 }
 
 // NewTraceSource adapts a trace stream into a job source using the cache's
-// reference measurements. A positive catsWidth additionally characterises
-// each application by its isolated three-category fractions at that
-// dispatch width (the machines' width), which the interference dispatcher
-// requires; zero skips the characterisation. Measurements are memoised per
-// application, so a stream of a million jobs over a twenty-app catalogue
-// costs twenty isolated runs.
-func NewTraceSource(tc *workload.TargetCache, ts workload.TraceStream, catsWidth int) Source {
-	return &traceSource{tc: tc, ts: ts, width: catsWidth, memo: map[string]*appInfo{}}
+// reference measurements. A non-nil model additionally characterises each
+// application by its isolated category fractions, read at the machines'
+// dispatch width with the model's own extractor (core.ExtractorFor), which
+// the interference dispatcher requires; a nil model skips the
+// characterisation, and a model with no extractor ends the stream with
+// that error. Measurements are memoised per application, so a stream of a
+// million jobs over a twenty-app catalogue costs twenty isolated runs.
+func NewTraceSource(tc *workload.TargetCache, ts workload.TraceStream, model *core.Model, width int) Source {
+	s := &traceSource{tc: tc, ts: ts, width: width, memo: map[string]*appInfo{}}
+	if model != nil {
+		if s.extract, s.err = core.ExtractorFor(model.K()); s.err != nil {
+			s.err = fmt.Errorf("fleet: source %q: %w", ts.Name(), s.err)
+			s.done = true
+		}
+	}
+	return s
 }
 
 func (s *traceSource) Name() string { return s.ts.Name() }
@@ -99,12 +109,12 @@ func (s *traceSource) info(name string) (*appInfo, error) {
 		return nil, err
 	}
 	in := &appInfo{model: m, target: target, ipc: ipc}
-	if s.width > 0 {
+	if s.extract != nil {
 		counters, err := s.tc.IsolatedCounters(m)
 		if err != nil {
 			return nil, err
 		}
-		in.cats = core.ThreeCategoryFractions(counters, s.width)
+		in.cats = s.extract(counters, s.width)
 	}
 	s.memo[name] = in
 	return in, nil

@@ -14,16 +14,15 @@
 // Cost model. For a symmetric n×n matrix w of pairwise costs, a group g
 // costs
 //
-//	cost(g) = SoloCost            if |g| == 1  (an app alone runs at ST speed)
+//	cost(g) = DefaultSoloCost     if |g| == 1  (an app alone runs at ST speed)
 //	cost(g) = Σ_{i<j ∈ g} w[i][j] otherwise
 //
-// and a partition costs the sum over its groups. With L = 2 this is exactly
-// the objective of minimum-weight perfect matching on the idle-padded
-// graph, so Partition builds that graph and solves it with
-// matching.MinWeightPaddedMatching: an exact subset DP over the padded
-// graph when it has at most ten vertices and a unique optimum, blossom
-// otherwise. The SYNPA policy builds the same padded graph itself at SMT2
-// and runs the same solver on it; it calls Partition at every other level.
+// and a partition costs the sum over its groups. With L = 2 this is the
+// objective of minimum-weight perfect matching on the idle-padded graph;
+// the SYNPA policy builds that graph itself at SMT2 and solves it with
+// matching.MinWeightPaddedMatching, and calls Partition at every other
+// level. Partition solves L = 2 with the same solvers as every L above it,
+// which the tests check against the padded matching.
 //
 // Solvers. Three deterministic solvers sit behind Partition:
 //
@@ -45,8 +44,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"synpa/internal/matching"
 )
 
 // DefaultSoloCost is the cost of a single-application group: the app runs at
@@ -92,7 +89,7 @@ type Solver int
 
 const (
 	// SolverAuto uses the exact solvers (the search, the DP on ties) up to
-	// Options.MaxExactN applications and the greedy + local-search solver
+	// DefaultMaxExactN applications and the greedy + local-search solver
 	// beyond.
 	SolverAuto Solver = iota
 	// SolverExact forces the exact solvers: the search, and the subset DP
@@ -116,26 +113,12 @@ func (s Solver) String() string {
 }
 
 // Options tune Partition; the zero value gives the production defaults.
+// A one-application group always costs DefaultSoloCost, so callers pricing
+// other partitions against a Result's Cost (the policy's hysteresis) use
+// that constant too.
 type Options struct {
 	// Solver selects the algorithm (default SolverAuto).
 	Solver Solver
-	// MaxExactN is the auto-solver's exact size ceiling (default
-	// DefaultMaxExactN).
-	MaxExactN int
-	// SoloCost is the cost of a one-application group; zero selects
-	// DefaultSoloCost.
-	SoloCost float64
-}
-
-// ResolvedSoloCost returns the solo cost Partition will charge under these
-// options (SoloCost with the zero-value default applied). Callers comparing
-// external partitions against a Result's Cost — e.g. the policy's
-// hysteresis — must price solo groups with this same value.
-func (o Options) ResolvedSoloCost() float64 {
-	if o.SoloCost == 0 {
-		return DefaultSoloCost
-	}
-	return o.SoloCost
 }
 
 // Result is one partition.
@@ -146,8 +129,7 @@ type Result struct {
 	// Cost is the partition cost under the canonical summation order
 	// (PartitionCost), independent of the solver that produced it.
 	Cost float64
-	// Solver names the algorithm that produced the partition: "matching"
-	// (the L = 2 route through matching.MinWeightPaddedMatching), "search"
+	// Solver names the algorithm that produced the partition: "search"
 	// (the partition search), "exact" (the subset DP, and the forced
 	// partitions of L = 1 and n = 0) or "greedy".
 	Solver string
@@ -164,6 +146,12 @@ func Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error
 // reusable search memory. Its results are identical; only the allocation
 // count differs.
 func (ws *Workspace) Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error) {
+	return ws.partition(w, maxGroups, level, DefaultSoloCost, opt.Solver)
+}
+
+// partition is Partition with the solo cost as a parameter, so the tests
+// can vary it.
+func (ws *Workspace) partition(w [][]float64, maxGroups, level int, solo float64, solver Solver) (*Result, error) {
 	n := len(w)
 	if err := checkMatrix(w); err != nil {
 		return nil, err
@@ -174,31 +162,20 @@ func (ws *Workspace) Partition(w [][]float64, maxGroups, level int, opt Options)
 	if n > maxGroups*level {
 		return nil, fmt.Errorf("%w: %d applications, %d groups of <= %d", ErrInfeasible, n, maxGroups, level)
 	}
-	solo := opt.ResolvedSoloCost()
 	if n == 0 {
 		return &Result{Groups: nil, Cost: 0, Solver: "exact"}, nil
 	}
 
-	switch {
-	case level == 1:
+	if level == 1 {
 		// Only singletons are feasible; the partition is forced.
 		groups := make([][]int, n)
 		for i := range groups {
 			groups[i] = []int{i}
 		}
 		return finish(w, groups, solo, "exact"), nil
-	case level == 2:
-		// Minimum-weight perfect matching on the idle-padded graph is
-		// exactly this objective (see the package comment); solve it with
-		// the matcher the SYNPA policy runs at SMT2.
-		return solveMatching(w, maxGroups, solo)
 	}
 
-	maxExact := opt.MaxExactN
-	if maxExact <= 0 {
-		maxExact = DefaultMaxExactN
-	}
-	switch opt.Solver {
+	switch solver {
 	case SolverExact:
 		if n > maxExactHard {
 			return nil, ErrTooLarge
@@ -207,7 +184,7 @@ func (ws *Workspace) Partition(w [][]float64, maxGroups, level int, opt Options)
 	case SolverGreedy:
 		return solveGreedy(w, maxGroups, level, solo), nil
 	default:
-		if n <= maxExact && n <= maxExactHard {
+		if n <= DefaultMaxExactN {
 			return ws.exact(w, maxGroups, level, solo), nil
 		}
 		return solveGreedy(w, maxGroups, level, solo), nil
@@ -282,45 +259,4 @@ func canonicalize(groups [][]int) [][]int {
 func finish(w [][]float64, groups [][]int, soloCost float64, solver string) *Result {
 	groups = canonicalize(groups)
 	return &Result{Groups: groups, Cost: PartitionCost(w, groups, soloCost), Solver: solver}
-}
-
-// solveMatching handles level == 2 by minimum-weight perfect matching on
-// the idle-padded graph: 2·maxGroups vertices, real-real edges cost w, a
-// real app paired with an idle slot costs soloCost, idle-idle pairs cost 0
-// — the construction of core.Policy's Step 2, solved by the same
-// matching.MinWeightPaddedMatching, so the two agree edge for edge.
-func solveMatching(w [][]float64, maxGroups int, soloCost float64) (*Result, error) {
-	n := len(w)
-	total := 2 * maxGroups
-	p := make([][]float64, total)
-	for i := range p {
-		p[i] = make([]float64, total)
-	}
-	for i := 0; i < total; i++ {
-		for j := i + 1; j < total; j++ {
-			var cost float64
-			switch {
-			case i < n && j < n:
-				cost = w[i][j]
-			case i < n || j < n:
-				cost = soloCost
-			}
-			p[i][j], p[j][i] = cost, cost
-		}
-	}
-	mate, _, err := matching.MinWeightPaddedMatching(p, n)
-	if err != nil {
-		return nil, err
-	}
-	var groups [][]int
-	for i := 0; i < n; i++ {
-		m := mate[i]
-		switch {
-		case m < 0 || m >= n:
-			groups = append(groups, []int{i})
-		case m > i:
-			groups = append(groups, []int{i, m})
-		}
-	}
-	return finish(w, groups, soloCost, "matching"), nil
 }

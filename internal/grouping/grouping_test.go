@@ -112,7 +112,7 @@ func TestPartitionLevelOne(t *testing.T) {
 func TestGreedyVsExact(t *testing.T) {
 	const slack = 1e-9
 	for n := 2; n <= 12; n++ {
-		for _, level := range []int{3, 4} {
+		for _, level := range []int{2, 3, 4} {
 			for seed := uint64(0); seed < 6; seed++ {
 				maxGroups := (n + level - 1) / level
 				if seed%2 == 1 {
@@ -142,44 +142,86 @@ func TestGreedyVsExact(t *testing.T) {
 	}
 }
 
-// TestExactMatchesBlossomAtLevelTwo cross-validates the exact subset DP
-// against the L = 2 matching route (the padded-graph DP up to ten
-// vertices, blossom beyond) on the L = 2 objective: identical optima
-// (within the matcher's 1e-6 weight quantisation).
+// TestExactMatchesBlossomAtLevelTwo checks Partition at L = 2, where the
+// search, the subset DP and greedy serve as at every other level, against
+// the padded matching the SYNPA policy solves at SMT2: on 2–12 apps (up to
+// DefaultMaxExactN, so the exact solvers answer) with the group count
+// tight or unconstrained, both solver settings return the groups of
+// matching.MinWeightPaddedMatching on the idle-padded graph this test
+// builds, at its cost (within the matcher's 1e-6 weight quantisation).
 func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 	const tol = 1e-4
-	for n := 2; n <= 12; n++ {
+	for n := 2; n <= DefaultMaxExactN; n++ {
 		for seed := uint64(0); seed < 6; seed++ {
 			maxGroups := (n + 1) / 2
 			if seed%2 == 1 {
 				maxGroups = n
 			}
 			w := randMatrix(n, 77*uint64(n)+seed, 3)
-			exact, err := Partition(w, maxGroups, 2, Options{Solver: SolverExact})
-			if err != nil {
-				t.Fatal(err)
-			}
-			blossom, err := Partition(w, maxGroups, 2, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if blossom.Solver != "matching" {
-				t.Fatalf("L=2 auto solver = %q, want the padded matching", blossom.Solver)
-			}
-			checkPartition(t, exact, n, maxGroups, 2, w)
-			checkPartition(t, blossom, n, maxGroups, 2, w)
-			if math.Abs(exact.Cost-blossom.Cost) > tol {
-				t.Fatalf("n=%d seed=%d: exact %v != blossom %v (groups %v vs %v)",
-					n, seed, exact.Cost, blossom.Cost, exact.Groups, blossom.Groups)
+			want, wantCost := paddedMatchingGroups(t, w, maxGroups)
+			for _, opt := range []Options{{Solver: SolverExact}, {}} {
+				res, err := Partition(w, maxGroups, 2, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Solver != "search" && res.Solver != "exact" {
+					t.Fatalf("n=%d: L=2 %v solver = %q, want the search or the DP", n, opt.Solver, res.Solver)
+				}
+				checkPartition(t, res, n, maxGroups, 2, w)
+				if !reflect.DeepEqual(res.Groups, want) || math.Abs(res.Cost-wantCost) > tol {
+					t.Fatalf("n=%d seed=%d %v: groups %v (cost %v), padded matching %v (cost %v)",
+						n, seed, opt.Solver, res.Groups, res.Cost, want, wantCost)
+				}
 			}
 		}
 	}
 }
 
-// TestBlossomDelegationMatchesRawMatcher pins the L = 2 construction: the
-// groups Partition returns are exactly the pairs of blossom's
-// minimum-weight perfect matching on the idle-padded graph the SYNPA policy
-// builds (eight vertices, so the padded-graph DP answers).
+// paddedMatchingGroups solves w's L = 2 partition the way the SYNPA policy
+// does at SMT2: a minimum-weight perfect matching on 2·maxGroups vertices,
+// where real pairs cost w, a real app matched to an idle slot runs alone at
+// DefaultSoloCost and two idle slots cost nothing. It returns the real
+// groups in canonical order and their cost.
+func paddedMatchingGroups(t *testing.T, w [][]float64, maxGroups int) ([][]int, float64) {
+	t.Helper()
+	n, total := len(w), 2*maxGroups
+	p := make([][]float64, total)
+	for i := range p {
+		p[i] = make([]float64, total)
+	}
+	for i := 0; i < total; i++ {
+		for j := i + 1; j < total; j++ {
+			var cost float64
+			switch {
+			case i < n && j < n:
+				cost = w[i][j]
+			case i < n || j < n:
+				cost = DefaultSoloCost
+			}
+			p[i][j], p[j][i] = cost, cost
+		}
+	}
+	mate, _, err := matching.MinWeightPaddedMatching(p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups [][]int
+	for i := 0; i < n; i++ {
+		switch m := mate[i]; {
+		case m < 0 || m >= n:
+			groups = append(groups, []int{i})
+		case m > i:
+			groups = append(groups, []int{i, m})
+		}
+	}
+	return groups, PartitionCost(w, groups, DefaultSoloCost)
+}
+
+// TestPartitionDeterminism runs every solver twice on the same input and
+// demands identical partitions.
+// TestBlossomDelegationMatchesRawMatcher checks the level-2 partition
+// against the raw blossom matcher on the idle-padded graph, the solver
+// level 2 used to delegate to.
 func TestBlossomDelegationMatchesRawMatcher(t *testing.T) {
 	n, cores := 7, 4
 	w := randMatrix(n, 5, 3)
@@ -218,12 +260,10 @@ func TestBlossomDelegationMatchesRawMatcher(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(res.Groups, want) {
-		t.Fatalf("delegated groups %v != raw matcher pairs %v", res.Groups, want)
+		t.Fatalf("level-2 groups %v != raw matcher pairs %v", res.Groups, want)
 	}
 }
 
-// TestPartitionDeterminism runs every solver twice on the same input and
-// demands identical partitions.
 func TestPartitionDeterminism(t *testing.T) {
 	w := randMatrix(10, 9, 4)
 	for _, opt := range []Options{

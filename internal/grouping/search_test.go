@@ -45,12 +45,11 @@ func checkSearch(t testing.TB, ws *Workspace, w [][]float64, maxGroups, level in
 			len(w), maxGroups, level, solo, got.Groups, got.Cost, want.Groups, want.Cost, w)
 	}
 	for _, solver := range []Solver{SolverExact, SolverAuto} {
-		opt := Options{Solver: solver, SoloCost: solo}
-		res, err := ws.Partition(w, maxGroups, level, opt)
+		res, err := ws.partition(w, maxGroups, level, solo, solver)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Partition(w, maxGroups, level, opt)
+		fresh, err := (*Workspace)(nil).partition(w, maxGroups, level, solo, solver)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +62,7 @@ func checkSearch(t testing.TB, ws *Workspace, w [][]float64, maxGroups, level in
 }
 
 // TestSearchMatchesExactDP is the differential test of the partition
-// search against the subset DP: 2–12 apps at levels 3 and 4, every
+// search against the subset DP: 2–12 apps at levels 2, 3 and 4, every
 // feasible group count, continuous weights and weights of one to three
 // levels, with a solo cost below the pair weights or above them (the two
 // alternate over the grid, so each weight kind meets both). On every
@@ -75,7 +74,7 @@ func TestSearchMatchesExactDP(t *testing.T) {
 	var ws Workspace
 	answered, deferred := 0, 0
 	for n := 2; n <= 12; n++ {
-		for _, level := range []int{3, 4} {
+		for _, level := range []int{2, 3, 4} {
 			for maxGroups := (n + level - 1) / level; maxGroups <= n; maxGroups++ {
 				for levels := 0; levels <= 3; levels++ {
 					solo := []float64{1, 5}[(maxGroups+levels)%2]
@@ -174,7 +173,7 @@ func TestSearchAllocations(t *testing.T) {
 }
 
 // FuzzPartition checks the search against the subset DP on fuzzed
-// instances of 1–10 apps at levels 3–5 and every feasible group count.
+// instances of 1–10 apps at levels 2–5 and every feasible group count.
 // Cells are signed bytes over 16, so weights may be negative and small
 // alphabets give exact ties.
 func FuzzPartition(f *testing.F) {
@@ -184,12 +183,9 @@ func FuzzPartition(f *testing.F) {
 	var ws Workspace
 	f.Fuzz(func(t *testing.T, n, level, groups uint8, solo float64, cells []byte) {
 		size := 1 + int(n)%10
-		lv := 3 + int(level)%3
+		lv := 2 + int(level)%4
 		lo := (size + lv - 1) / lv
 		maxGroups := lo + int(groups)%(size-lo+1)
-		if solo == 0 {
-			solo = DefaultSoloCost // Options reads a zero SoloCost as the default
-		}
 		w := make([][]float64, size)
 		for i := range w {
 			w[i] = make([]float64, size)

@@ -28,7 +28,7 @@ func runOnce(t *testing.T, ff bool, policy machine.Policy, seed uint64) *machine
 	t.Helper()
 	cfg := machine.DefaultConfig()
 	cfg.QuantumCycles = 5_000
-	cfg.Parallel = false
+	cfg.Workers = 1
 	cfg.FastForward = ff
 	m, err := machine.New(cfg)
 	if err != nil {

@@ -42,15 +42,12 @@ type Config struct {
 	QuantumCycles uint64
 	// Core is the per-core microarchitecture configuration.
 	Core smtcore.Config
-	// Parallel enables intra-run parallel quantum execution. Callers that
-	// fan independent runs out across CPUs themselves (the experiment
-	// suite) set it false to serialise each run.
-	Parallel bool
 	// Workers bounds the worker goroutines that shard the per-core
 	// stepping within one quantum (workers.go). Zero selects GOMAXPROCS;
-	// one disables sharding. Results are bit-identical at every worker
-	// count: cores are state-isolated within a quantum and the merge
-	// order is fixed (see workers.go).
+	// one disables sharding, as callers that fan independent runs out
+	// across CPUs themselves (the experiment suite) set it. Results are
+	// bit-identical at every worker count: cores are state-isolated within
+	// a quantum and the merge order is fixed (see workers.go).
 	Workers int
 	// FastForward enables the event-driven fast-forward engine in every
 	// core (internal/smtcore/DESIGN.md). The engine is observationally
@@ -66,7 +63,6 @@ func DefaultConfig() Config {
 		Cores:         4,
 		QuantumCycles: 20_000,
 		Core:          smtcore.DefaultConfig(),
-		Parallel:      true,
 		FastForward:   true,
 	}
 }
@@ -471,69 +467,45 @@ func (m *Machine) Run(models []*apps.Model, targets []uint64, policy Policy, opt
 	return res, nil
 }
 
-// RunIsolated executes a single application alone on a one-core machine for
-// the given number of quanta and returns its per-quantum samples. It is the
-// building block of the Fig. 4 characterization, the §IV-C training profile
-// collection, and the target-setting methodology of §V-B.
-func RunIsolated(model *apps.Model, seed uint64, quanta int, cfg Config) ([]pmu.Counters, error) {
+// RunPinned executes applications pinned to one core for the given number
+// of quanta, model i with seed i on hardware thread i, and returns each
+// application's per-quantum samples. A core whose SMT level is below the
+// application count is raised to it (so pair collection works on an SMT1
+// machine configuration). One application is the isolated run behind the
+// Fig. 4 characterization, the §IV-C training profiles and the §V-B
+// targets; two are the §IV-C SMT pair runs.
+func RunPinned(models []*apps.Model, seeds []uint64, quanta int, cfg Config) ([][]pmu.Counters, error) {
+	if len(models) == 0 || len(seeds) != len(models) {
+		return nil, fmt.Errorf("machine: %d models with %d seeds", len(models), len(seeds))
+	}
 	cfg.Cores = 1
-	cfg.Parallel = false
+	if cfg.Core.Level() < len(models) {
+		cfg.Core.SMTLevel = len(models)
+	}
 	m, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inst := apps.NewInstance(model, seed)
-	bank := &pmu.Bank{}
-	bank.Enable()
-	m.cores[0].Bind(0, inst, bank)
+	banks := make([]pmu.Bank, len(models))
+	for i, model := range models {
+		banks[i].Enable()
+		m.cores[0].Bind(i, apps.NewInstance(model, seeds[i]), &banks[i])
+	}
 
-	out := make([]pmu.Counters, 0, quanta)
-	var prevSnap pmu.Counters
+	out := make([][]pmu.Counters, len(models))
+	for i := range out {
+		out[i] = make([]pmu.Counters, 0, quanta)
+	}
+	prev := make([]pmu.Counters, len(models))
 	t0 := perfstat.PhaseClock()
 	for q := 0; q < quanta; q++ {
 		m.cores[0].Run(cfg.QuantumCycles)
-		snap := bank.Read()
-		out = append(out, snap.Delta(prevSnap))
-		prevSnap = snap
+		for i := range banks {
+			snap := banks[i].Read()
+			out[i] = append(out[i], snap.Delta(prev[i]))
+			prev[i] = snap
+		}
 	}
 	perfstat.PhaseAdd(perfstat.PhaseSimulation, t0)
 	return out, nil
-}
-
-// RunPairSMT executes two applications together on one core for the given
-// number of quanta, returning each one's per-quantum samples. It is the
-// training pipeline's SMT data collector (§IV-C). Pair collection needs two
-// thread slots by definition, so a machine configured below SMT2 (the SMT1
-// isolated baseline) is raised to SMT2 for the private training core.
-func RunPairSMT(a, b *apps.Model, seedA, seedB uint64, quanta int, cfg Config) (sa, sb []pmu.Counters, err error) {
-	cfg.Cores = 1
-	cfg.Parallel = false
-	if cfg.Core.Level() < 2 {
-		cfg.Core.SMTLevel = 2
-	}
-	m, err := New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ia := apps.NewInstance(a, seedA)
-	ib := apps.NewInstance(b, seedB)
-	ba, bb := &pmu.Bank{}, &pmu.Bank{}
-	ba.Enable()
-	bb.Enable()
-	m.cores[0].Bind(0, ia, ba)
-	m.cores[0].Bind(1, ib, bb)
-
-	sa = make([]pmu.Counters, 0, quanta)
-	sb = make([]pmu.Counters, 0, quanta)
-	var prevA, prevB pmu.Counters
-	t0 := perfstat.PhaseClock()
-	for q := 0; q < quanta; q++ {
-		m.cores[0].Run(cfg.QuantumCycles)
-		snapA, snapB := ba.Read(), bb.Read()
-		sa = append(sa, snapA.Delta(prevA))
-		sb = append(sb, snapB.Delta(prevB))
-		prevA, prevB = snapA, snapB
-	}
-	perfstat.PhaseAdd(perfstat.PhaseSimulation, t0)
-	return sa, sb, nil
 }

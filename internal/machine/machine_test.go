@@ -41,7 +41,7 @@ func nModels(n int) []*apps.Model {
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.QuantumCycles = 5_000
-	cfg.Parallel = false
+	cfg.Workers = 1
 	return cfg
 }
 
@@ -190,9 +190,9 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunParallelMatchesSequential(t *testing.T) {
-	run := func(parallel bool) uint64 {
+	run := func(workers int) uint64 {
 		cfg := testConfig()
-		cfg.Parallel = parallel
+		cfg.Workers = workers
 		m, _ := New(cfg)
 		models := nModels(8)
 		targets := make([]uint64, 8)
@@ -206,7 +206,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		tt, _ := res.TurnaroundCycles()
 		return tt
 	}
-	if run(false) != run(true) {
+	if run(1) != run(4) {
 		t.Fatal("parallel execution changed the simulation result")
 	}
 }
@@ -310,16 +310,17 @@ func TestRelaunchKeepsPressure(t *testing.T) {
 	}
 }
 
+// TestRunIsolated pins RunPinned with one application: the isolated run.
 func TestRunIsolated(t *testing.T) {
 	mod, _ := apps.ByName("mcf")
-	samples, err := RunIsolated(mod, 9, 10, testConfig())
+	runs, err := RunPinned([]*apps.Model{mod}, []uint64{9}, 10, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 10 {
-		t.Fatalf("got %d samples", len(samples))
+	if len(runs) != 1 || len(runs[0]) != 10 {
+		t.Fatalf("got %d runs", len(runs))
 	}
-	for q, s := range samples {
+	for q, s := range runs[0] {
 		if s[pmu.CPUCycles] != 5_000 {
 			t.Fatalf("quantum %d cycles = %d", q, s[pmu.CPUCycles])
 		}
@@ -329,13 +330,15 @@ func TestRunIsolated(t *testing.T) {
 	}
 }
 
+// TestRunPairSMT pins RunPinned with two applications: the SMT pair run.
 func TestRunPairSMT(t *testing.T) {
 	a, _ := apps.ByName("mcf")
 	b, _ := apps.ByName("leela_r")
-	sa, sb, err := RunPairSMT(a, b, 1, 2, 8, testConfig())
+	runs, err := RunPinned([]*apps.Model{a, b}, []uint64{1, 2}, 8, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sa, sb := runs[0], runs[1]
 	if len(sa) != 8 || len(sb) != 8 {
 		t.Fatalf("got %d/%d samples", len(sa), len(sb))
 	}

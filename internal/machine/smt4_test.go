@@ -84,17 +84,17 @@ func TestRunSMT4Deterministic(t *testing.T) {
 
 // TestRunPairSMTAtSMT1 pins the training-path guard: pair collection needs
 // two thread slots, so an SMT1 machine configuration must not panic the
-// §IV-C collector — it raises its private core to SMT2.
+// §IV-C collector — RunPinned raises its private core to SMT2.
 func TestRunPairSMTAtSMT1(t *testing.T) {
 	cfg := testConfig()
 	cfg.Core.SMTLevel = 1
 	models := nModels(2)
-	sa, sb, err := RunPairSMT(models[0], models[1], 1, 2, 3, cfg)
+	runs, err := RunPinned(models[:2], []uint64{1, 2}, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sa) != 3 || len(sb) != 3 {
-		t.Fatalf("samples %d/%d, want 3/3", len(sa), len(sb))
+	if len(runs) != 2 || len(runs[0]) != 3 || len(runs[1]) != 3 {
+		t.Fatalf("got %d runs, want 2 of 3 samples", len(runs))
 	}
 }
 

@@ -18,6 +18,11 @@
 // Run/RunDynamic start it, every quantum dispatches one shard per worker
 // plus the shard the calling goroutine executes itself, and the pool shuts
 // down when the run returns — no goroutines outlive a run.
+//
+// Config.Workers is the one knob for the width: zero selects GOMAXPROCS
+// and one serialises. Callers that already fan independent runs out across
+// CPUs (the experiment suite, the fleet's machines) set it to one, and a
+// one-core machine (RunPinned) resolves to one by the core-count cap.
 package machine
 
 import (
@@ -27,14 +32,10 @@ import (
 )
 
 // ResolveWorkers resolves a configured worker count: a non-positive count
-// falls back to GOMAXPROCS when parallel (1 otherwise), and the result is
-// clamped to [1, tasks].
-func ResolveWorkers(configured, tasks int, parallel bool) int {
+// falls back to GOMAXPROCS, and the result is clamped to [1, tasks].
+func ResolveWorkers(configured, tasks int) int {
 	w := configured
 	if w <= 0 {
-		if !parallel {
-			return 1
-		}
 		// The worker count chooses how cores are sharded across
 		// goroutines, never what any core computes: the quantum barrier
 		// makes every width bit-identical (the parallel-merge invariant in
@@ -48,10 +49,10 @@ func ResolveWorkers(configured, tasks int, parallel bool) int {
 
 // EffectiveWorkers resolves the worker count a machine built from this
 // configuration will step cores with: Config.Workers, else GOMAXPROCS —
-// capped at the core count, and forced to 1 when Parallel is false (the
-// knob callers already use to serialise runs they fan out themselves).
+// capped at the core count. Callers that fan runs out themselves set
+// Workers to 1.
 func (c Config) EffectiveWorkers() int {
-	return ResolveWorkers(c.Workers, c.Cores, c.Parallel)
+	return ResolveWorkers(c.Workers, c.Cores)
 }
 
 // startPool launches the run-scoped worker pool and returns its stop

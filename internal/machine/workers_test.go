@@ -49,7 +49,6 @@ func (fillPolicy) Place(st *QuantumState) Placement {
 func runWithWorkers(t *testing.T, workers int) *Result {
 	t.Helper()
 	cfg := testConfig()
-	cfg.Parallel = true
 	cfg.Workers = workers
 	m, err := New(cfg)
 	if err != nil {
@@ -89,7 +88,6 @@ func TestRunWorkersBitIdentical(t *testing.T) {
 func TestRunDynamicWorkersBitIdentical(t *testing.T) {
 	dynRun := func(workers int) *DynamicResult {
 		cfg := testConfig()
-		cfg.Parallel = true
 		cfg.Workers = workers
 		m, err := New(cfg)
 		if err != nil {
@@ -121,14 +119,13 @@ func TestRunDynamicWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEffectiveWorkers covers the resolution rules: Parallel gating, the
+// TestEffectiveWorkers covers the resolution rules: the serial count, the
 // explicit count, the core-count cap and the GOMAXPROCS default.
 func TestEffectiveWorkers(t *testing.T) {
-	cfg := testConfig() // Parallel=false
+	cfg := testConfig() // Workers=1
 	if w := cfg.EffectiveWorkers(); w != 1 {
 		t.Fatalf("serial config resolved %d workers", w)
 	}
-	cfg.Parallel = true
 	cfg.Workers = 3
 	if w := cfg.EffectiveWorkers(); w != 3 {
 		t.Fatalf("explicit Workers=3 resolved %d", w)
@@ -148,7 +145,6 @@ func TestEffectiveWorkers(t *testing.T) {
 func TestWorkersIdleCores(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := testConfig()
-		cfg.Parallel = true
 		cfg.Workers = workers
 		cfg.Cores = 6
 		m, err := New(cfg)

@@ -34,8 +34,8 @@
 // weights (O(2ⁿ·n)), is the cross-validation oracle of the tests and the
 // exhaustive baseline of the matcher ablation. Above SMT2, where
 // co-schedules grow beyond pairs, the matching step generalises to the
-// weighted set-partition problem of internal/grouping, which comes back to
-// MinWeightPaddedMatching at level 2.
+// weighted set-partition problem of internal/grouping, whose tests check
+// its level-2 answers against MinWeightPaddedMatching.
 package matching
 
 import (

@@ -63,10 +63,9 @@ const DefaultMaxEntries = 1 << 15
 // the per-shard reset granularity.
 const DefaultShards = 16
 
-// Options tune a Shared; the zero value gives the production defaults.
+// Options tune a Shared; the zero value gives the production defaults. A
+// policy that should not memoize installs no Shared at all.
 type Options struct {
-	// Disabled turns the memo into a pass-through.
-	Disabled bool
 	// MaxEntries bounds the whole cache; zero selects DefaultMaxEntries.
 	MaxEntries int
 }
@@ -196,7 +195,6 @@ func pairKey(dst []byte, a, b []float64) []byte {
 // Shared is an N-shard concurrent memo of the inversion. Safe for use
 // from any number of goroutines; derive per-goroutine handles with Handle.
 type Shared struct {
-	opt  Options
 	mask uint64
 	inv  []memo
 }
@@ -213,10 +211,7 @@ func NewShared(opt Options, shards int) *Shared {
 	for n < shards {
 		n <<= 1
 	}
-	s := &Shared{opt: opt, mask: uint64(n - 1)}
-	if opt.Disabled {
-		return s
-	}
+	s := &Shared{mask: uint64(n - 1)}
 	per := max(opt.maxEntries()/n, 1)
 	s.inv = make([]memo, n)
 	for i := range n {
@@ -225,7 +220,7 @@ func NewShared(opt Options, shards int) *Shared {
 	return s
 }
 
-// NumShards returns the (power-of-two) shard count, 0 when disabled.
+// NumShards returns the (power-of-two) shard count.
 func (s *Shared) NumShards() int { return len(s.inv) }
 
 const (
@@ -280,9 +275,6 @@ type Handle struct {
 // Invert returns fn(a, b), memoized. The returned slices are shared
 // across hits and goroutines and must not be mutated.
 func (h *Handle) Invert(a, b []float64, fn InvertFn) ([]float64, []float64, bool) {
-	if h.shared.opt.Disabled {
-		return fn(a, b)
-	}
 	h.key = pairKey(h.key, a, b)
 	e, o := h.shared.shard(h.key).get(h.key, a, b, fn)
 	h.stats.count(o)

@@ -94,29 +94,6 @@ func TestPairCacheHitsAndValues(t *testing.T) {
 	})
 }
 
-func TestPairCacheDisabled(t *testing.T) {
-	forEachForm(t, func(t *testing.T, handle func(Options) *Handle) {
-		h := handle(Options{Disabled: true})
-		calls := 0
-		fn := counted(&calls)
-		for range 2 {
-			h.Invert([]float64{1}, []float64{2}, fn)
-		}
-		if calls != 2 {
-			t.Fatalf("disabled cache memoized (calls=%d)", calls)
-		}
-		if inv, pair := h.Stats(); inv != (Stats{}) || pair != (Stats{}) {
-			t.Fatalf("disabled cache counted traffic: %+v %+v", inv, pair)
-		}
-		if s := totals(h); s != (Stats{}) {
-			t.Fatalf("disabled cache counted whole-cache traffic: %+v", s)
-		}
-		if n := h.shared.Entries(); n != 0 {
-			t.Fatalf("disabled cache holds %d entries", n)
-		}
-	})
-}
-
 // TestPairCacheReset overflows an 8-entry cache — in the shared form, 2
 // entries in each of 4 shards — and checks that resets keep every store
 // within its bound without losing correctness.

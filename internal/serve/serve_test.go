@@ -11,9 +11,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -604,41 +606,75 @@ func TestUnencodableAnswer(t *testing.T) {
 	}
 }
 
-// TestHandlerRecoversPanics drives a panicking route through Handler: a
-// policy whose extractor panics must answer POST /v1/place with a JSON 500
-// and a count in synpad.panics, not a dropped connection, and the server
-// must keep serving afterwards.
-func TestHandlerRecoversPanics(t *testing.T) {
-	model := core.PaperCoefficients()
-	q := synthQueries(t, model, 2)[1] // carries samples and a previous placement
-	body, _ := json.Marshal(q)
-	reg := obs.NewRegistry()
-	boom := func(pmu.Counters, int) []float64 { panic("extractor exploded") }
-	_, hts := newTestServer(t, model, serve.Config{Registry: reg, Policy: core.PolicyOptions{Extract: boom}})
+// tenCategoryModel is a 10-category model (the §VI-A preliminary model's
+// shape) with moderate interference in every category.
+func tenCategoryModel() *core.Model {
+	m := &core.Model{Categories: core.TenCategories}
+	for k := range core.TenCategories {
+		m.Coef = append(m.Coef, core.Coefficients{Alpha: 0.01 * float64(k%3), Beta: 1, Gamma: 0.05, Rho: 0.02})
+	}
+	return m
+}
 
-	for i := range 2 {
-		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", body)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("request %d: %s: %s", i, resp.Status, raw)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("request %d: content type %q", i, ct)
-		}
-		var e serve.ErrorResponse
-		if err := json.Unmarshal(raw, &e); err != nil || !strings.Contains(e.Error, "extractor exploded") {
-			t.Fatalf("request %d: body %s (%v), want an ErrorResponse naming the panic", i, raw, err)
-		}
-	}
-	if got := reg.Counter("synpad.panics").Value(); got != 2 {
-		t.Fatalf("synpad.panics = %d, want 2", got)
-	}
-	// The concurrency slots were released: the server still answers.
-	resp, err := hts.Client().Get(hts.URL + "/healthz")
+// TestSwapServesTenCategoryModel swaps a 10-category model in through
+// /v1/model and asks /v1/place for a paired decision: the recorded query
+// with its four apps paired on two cores must answer 200 with a placement
+// and finite degradations. A model with no extractor (five categories)
+// must be refused at swap with a 400, leaving the 10-category generation
+// serving.
+func TestSwapServesTenCategoryModel(t *testing.T) {
+	srv, hts := newTestServer(t, core.PaperCoefficients(), serve.Config{})
+	body, err := json.Marshal(tenCategoryModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after panics: %s", resp.Status)
+	resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/model", body)
+	var sr serve.SwapResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &sr) != nil || sr.Categories != 10 {
+		t.Fatalf("10-category swap: %s: %s", resp.Status, raw)
 	}
+
+	recorded, err := os.ReadFile("testdata/place_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q map[string]any
+	if err := json.Unmarshal(recorded, &q); err != nil {
+		t.Fatal(err)
+	}
+	q["prev"] = []int{0, 0, 1, 1}
+	paired, _ := json.Marshal(q)
+	place := func() {
+		t.Helper()
+		resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", paired)
+		var pr serve.PlaceResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &pr) != nil || len(pr.Placement) != 4 {
+			t.Fatalf("paired place on the 10-category model: %s: %s", resp.Status, raw)
+		}
+		if len(pr.Degradations) != 4 {
+			t.Fatalf("degradations %v, want one per app", pr.Degradations)
+		}
+		for i, d := range pr.Degradations {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 1 {
+				t.Fatalf("app %d degradation %v", i, d)
+			}
+		}
+	}
+	place()
+
+	five := &core.Model{}
+	for k := range 5 {
+		five.Categories = append(five.Categories, fmt.Sprint("c", k))
+		five.Coef = append(five.Coef, core.Coefficients{Beta: 1})
+	}
+	body, _ = json.Marshal(five)
+	resp, raw = postJSON(t, hts.Client(), hts.URL+"/v1/model", body)
+	var e serve.ErrorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || !strings.Contains(e.Error, "5-category") {
+		t.Fatalf("5-category swap: %s: %s; want a 400 naming the category count", resp.Status, raw)
+	}
+	if srv.Generation() != 2 {
+		t.Fatalf("refused swap moved the generation to %d", srv.Generation())
+	}
+	place()
 }

@@ -38,7 +38,8 @@ import (
 // inversion memo and with production-safe limits.
 type Config struct {
 	// Policy tunes the SYNPA policy built around each installed model
-	// (matcher, extractor, inversion — core.PolicyOptions semantics).
+	// (core.PolicyOptions semantics). The model's category count picks
+	// its extractor, so a swap to a model with no extractor answers 400.
 	Policy core.PolicyOptions
 	// SharedCache, when true, installs one predcache.Shared with default
 	// options per serving generation so all in-flight requests warm one

@@ -146,10 +146,11 @@ func min64(a, b uint64) uint64 {
 
 // profileIsolated builds an application's ST profile.
 func profileIsolated(m *apps.Model, opt *Options) (*isolatedProfile, error) {
-	samples, err := machine.RunIsolated(m, opt.Seed^hashName(m.Name), opt.IsolatedQuanta, opt.Machine)
+	runs, err := machine.RunPinned([]*apps.Model{m}, []uint64{opt.Seed ^ hashName(m.Name)}, opt.IsolatedQuanta, opt.Machine)
 	if err != nil {
 		return nil, err
 	}
+	samples := runs[0]
 	p := &isolatedProfile{
 		fractions: make([][]float64, 0, len(samples)),
 		cycles:    make([]float64, 0, len(samples)),
@@ -174,7 +175,10 @@ func profileIsolated(m *apps.Model, opt *Options) (*isolatedProfile, error) {
 	return p, nil
 }
 
-// hashName gives each application a stable seed offset.
+// hashName gives each application a stable seed offset. It is FNV-1a with
+// an offset basis one digit short of FNV's (1469598103934665603, not
+// 14695981039346656037). Every trained model and every golden digest
+// depends on these seeds, so the value stays as it is.
 func hashName(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
@@ -194,12 +198,13 @@ type pairSamples struct {
 // runPair executes one SMT pair and aligns its quanta against the ST
 // profiles.
 func runPair(a, b *apps.Model, pa, pb *isolatedProfile, opt *Options) (*pairSamples, error) {
-	sa, sb, err := machine.RunPairSMT(a, b,
-		opt.Seed^hashName(a.Name)^0xA5A5, opt.Seed^hashName(b.Name)^0x5A5A,
+	runs, err := machine.RunPinned([]*apps.Model{a, b},
+		[]uint64{opt.Seed ^ hashName(a.Name) ^ 0xA5A5, opt.Seed ^ hashName(b.Name) ^ 0x5A5A},
 		opt.PairQuanta, opt.Machine)
 	if err != nil {
 		return nil, err
 	}
+	sa, sb := runs[0], runs[1]
 	k := len(opt.Categories)
 	maxRows := 2 * len(sa)
 	out := &pairSamples{
@@ -269,7 +274,7 @@ func Train(models []*apps.Model, opt Options) (*core.Model, *Report, error) {
 
 	// Phase 1: isolated profiles (parallel across apps).
 	profiles := make([]*isolatedProfile, len(models))
-	if err := forEachParallel(len(models), opt.Parallel, func(i int) error {
+	if err := pool.Run(len(models), opt.Parallel, func(i int) error {
 		p, err := profileIsolated(models[i], &opt)
 		if err != nil {
 			return err
@@ -289,7 +294,7 @@ func Train(models []*apps.Model, opt Options) (*core.Model, *Report, error) {
 		}
 	}
 	results := make([]*pairSamples, len(pairs))
-	if err := forEachParallel(len(pairs), opt.Parallel, func(pi int) error {
+	if err := pool.Run(len(pairs), opt.Parallel, func(pi int) error {
 		pr := pairs[pi]
 		ps, err := runPair(models[pr.a], models[pr.b], profiles[pr.a], profiles[pr.b], &opt)
 		if err != nil {
@@ -358,10 +363,4 @@ func Train(models []*apps.Model, opt Options) (*core.Model, *Report, error) {
 		report.R2[cat] = fit.R2
 	}
 	return model, report, nil
-}
-
-// forEachParallel runs fn(i) for i in [0, n) on the shared atomic-counter
-// worker pool, returning the first error.
-func forEachParallel(n int, parallel bool, fn func(int) error) error {
-	return pool.Run(n, parallel, fn)
 }

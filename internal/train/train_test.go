@@ -220,26 +220,3 @@ func TestHashNameStable(t *testing.T) {
 		t.Fatal("hashName collision on catalogue names")
 	}
 }
-
-func TestForEachParallelPropagatesError(t *testing.T) {
-	errs := 0
-	err := forEachParallel(10, true, func(i int) error {
-		if i == 5 {
-			errs++
-			return errTest
-		}
-		return nil
-	})
-	if err != errTest {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if err := forEachParallel(4, false, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }

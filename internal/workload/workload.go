@@ -230,11 +230,11 @@ func (tc *TargetCache) slot(m *apps.Model) *targetSlot {
 
 // measure runs the application in isolation once.
 func (tc *TargetCache) measure(m *apps.Model) (target uint64, ipc float64, counters pmu.Counters, err error) {
-	samples, err := machine.RunIsolated(m, tc.seed^uint64(len(m.Name))<<32^hash(m.Name), tc.refQuanta, tc.cfg)
+	runs, err := machine.RunPinned([]*apps.Model{m}, []uint64{tc.seed ^ uint64(len(m.Name))<<32 ^ Hash(m.Name)}, tc.refQuanta, tc.cfg)
 	if err != nil {
 		return 0, 0, pmu.Counters{}, err
 	}
-	for _, s := range samples {
+	for _, s := range runs[0] {
 		counters = counters.Add(s)
 	}
 	insts, cycles := counters[pmu.InstRetired], counters[pmu.CPUCycles]
@@ -262,7 +262,9 @@ func (tc *TargetCache) Warm(ws []Workload, parallel bool) error {
 	})
 }
 
-func hash(s string) uint64 {
+// Hash is 64-bit FNV-1a over s: the name-derived seed offset of the
+// reference runs here and of the experiment runs.
+func Hash(s string) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

@@ -124,7 +124,7 @@ func TestKindString(t *testing.T) {
 func testCfg() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.QuantumCycles = 5_000
-	cfg.Parallel = false
+	cfg.Workers = 1
 	return cfg
 }
 

@@ -74,9 +74,6 @@ type FleetConfig struct {
 	// warms across the whole fleet; without it every machine inverts
 	// directly. Bit-identical by construction; see NewSharedPredCache.
 	SharedCache *SharedPredCache
-	// SketchAlpha is the relative accuracy of the streaming quantile
-	// sketches (0 = the stats package default, 0.5%).
-	SketchAlpha float64
 }
 
 // FleetReport is the streaming-aggregated outcome of a cluster run.
@@ -99,11 +96,11 @@ func (s *System) RunFleet(cfg FleetConfig, stream TraceStream) (*FleetReport, er
 	}
 	// Only interference dispatch needs per-application category
 	// characterisation; skip the extra isolated-counter work otherwise.
-	width := 0
+	var model *Model
 	if cfg.Dispatch == fleet.DispatchInterference {
-		width = s.machCfg.Core.DispatchWidth
+		model = cfg.Model
 	}
-	src := fleet.NewTraceSource(s.targets, stream, width)
+	src := fleet.NewTraceSource(s.targets, stream, model, s.machCfg.Core.DispatchWidth)
 	return fleet.Run(fleet.Config{
 		Machines:    cfg.Machines,
 		Machine:     s.machCfg,
@@ -115,7 +112,6 @@ func (s *System) RunFleet(cfg FleetConfig, stream TraceStream) (*FleetReport, er
 		MaxCycles:   cfg.MaxCycles,
 		SharedCache: cfg.SharedCache,
 		Workers:     s.cfg.Workers,
-		SketchAlpha: cfg.SketchAlpha,
 		Obs:         s.cfg.Obs,
 	}, src)
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"synpa/internal/core"
 )
 
 func fleetStream() TraceStream {
@@ -110,5 +112,44 @@ func TestRunFleetValidation(t *testing.T) {
 	names := FleetDispatchers()
 	if len(names) != 3 {
 		t.Fatalf("dispatchers = %v, want 3", names)
+	}
+}
+
+// TestRunFleetInterferenceTenCategoryModel: interference dispatch scores
+// machines with the model's own category fractions, so a 10-category model
+// drives both dispatch and placement to a drained fleet, and a model with
+// no extractor (five categories) is refused with an error.
+func TestRunFleetInterferenceTenCategoryModel(t *testing.T) {
+	sys := fastSystem(t)
+	ten := &Model{Categories: core.TenCategories}
+	for k := range core.TenCategories {
+		ten.Coef = append(ten.Coef, Coefficients{Alpha: 0.01 * float64(k%3), Beta: 1, Gamma: 0.05, Rho: 0.02})
+	}
+	rep, err := sys.RunFleet(FleetConfig{
+		Machines:  3,
+		Dispatch:  DispatchInterference,
+		Model:     ten,
+		NewPolicy: func(int) Policy { return sys.SYNPAPolicy(ten) },
+	}, fleetStream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 60 || !rep.AllCompleted || rep.Dispatch != DispatchInterference {
+		t.Fatalf("10-category interference fleet did not drain: %+v", rep)
+	}
+
+	five := &Model{}
+	for k := range 5 {
+		five.Categories = append(five.Categories, string(rune('a'+k)))
+		five.Coef = append(five.Coef, Coefficients{Beta: 1})
+	}
+	_, err = sys.RunFleet(FleetConfig{
+		Machines:  3,
+		Dispatch:  DispatchInterference,
+		Model:     five,
+		NewPolicy: func(int) Policy { return sys.LinuxPolicy() },
+	}, fleetStream())
+	if err == nil || !strings.Contains(err.Error(), "5-category") {
+		t.Fatalf("5-category interference model: err = %v, want a refusal", err)
 	}
 }

@@ -52,12 +52,15 @@ type (
 	QuantumState = machine.QuantumState
 	// Placement maps application index to core index.
 	Placement = machine.Placement
-	// PolicyOptions tune the SYNPA policy (matcher, inversion, extractor).
+	// PolicyOptions tune the SYNPA policy (matcher, the inversion
+	// ablation, smoothing, hysteresis, name). The model fixes the rest:
+	// its category count picks the extractor, so 3- and 10-category
+	// models are servable and any other count is refused.
 	PolicyOptions = core.PolicyOptions
-	// PredCacheOptions tunes a SharedPredCache. The SYNPA policy has no
-	// memo unless one is installed; exact-key memoization is
-	// bit-identical by construction, and Disabled passes every lookup
-	// through.
+	// PredCacheOptions tunes a SharedPredCache (its entry bound). The
+	// SYNPA policy has no memo unless one is installed, and a policy that
+	// should not memoize installs none; exact-key memoization is
+	// bit-identical by construction.
 	PredCacheOptions = predcache.Options
 	// SharedPredCache is a sharded concurrent prediction memo one whole
 	// fleet (or any number of concurrent PlaceR callers) shares; build
@@ -225,12 +228,15 @@ func (s *System) TrainModel(appNames []string, opts TrainOptions) (*Model, *Trai
 }
 
 // SYNPAPolicy builds the paper's allocation policy around a trained model.
+// It panics on a model SYNPAPolicyWithOptions refuses: an invalid one, or
+// one whose category count has no extractor (neither 3 nor 10).
 func (s *System) SYNPAPolicy(m *Model) Policy {
 	return core.MustPolicy(m, core.PolicyOptions{})
 }
 
 // SYNPAPolicyWithOptions builds a SYNPA variant (alternative matcher,
-// disabled inversion, different extractor) for ablation studies.
+// disabled inversion) for ablation studies. It errors on an invalid model
+// and on one whose category count has no extractor.
 func (s *System) SYNPAPolicyWithOptions(m *Model, opt PolicyOptions) (Policy, error) {
 	return core.NewPolicy(m, opt)
 }
