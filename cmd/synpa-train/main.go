@@ -9,6 +9,10 @@
 //	synpa-train -categories 10       # the discarded 10-category model
 //	synpa-train -out model.json      # save the model for synpad / /v1/model
 //
+// A category whose training responses are all equal (one the training
+// runs never exercised) fits exactly and carries no information; each such
+// category gets a warning line on standard error.
+//
 // -out writes the fitted model in the JSON wire format core.ReadModelJSON
 // (and synpad's -model flag and POST /v1/model endpoint) accepts; float64
 // coefficients round-trip exactly through JSON, so the reloaded model
@@ -73,6 +77,10 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "synpa-train:", err)
 		os.Exit(1)
+	}
+
+	for _, name := range rep.Constant {
+		fmt.Fprintf(os.Stderr, "synpa-train: warning: category %q has a constant response over the training samples; its fit carries no information\n", name)
 	}
 
 	if *out != "" {

@@ -51,20 +51,25 @@ type Arena struct {
 	wBack []float64
 	// meanBuf is Step 1's reusable co-runner mean vector, coST the row the
 	// co-runner half of a group member's inversion lands in (read by
-	// nobody), and frac its per-app fraction-row header slice.
-	meanBuf []float64
-	coST    []float64
-	frac    [][]float64
-	// prevGroups holds the previous placement's per-core groups, and
-	// matchRows/matchBack the groups read off an SMT2 matching
-	// (grouped.go).
+	// nobody), and frac the per-app fraction rows the extractor writes
+	// into, carved from the n×K backing array fracBack.
+	meanBuf  []float64
+	coST     []float64
+	frac     [][]float64
+	fracBack []float64
+	// prevGroups holds the previous placement's per-core groups,
+	// matchRows/matchBack the groups read off an SMT2 matching, and
+	// usedCore placeGroups' per-core occupancy (grouped.go).
 	prevGroups [][]int
 	matchRows  [][]int
 	matchBack  []int
+	usedCore   []bool
 
-	// mws is the Blossom matcher's reusable working memory: the solver's
-	// O(n²) edge matrix is the dominant per-decision allocation, and
-	// recycling it is bit-identical (matching.Workspace).
+	// mws is the SMT2 Step 3 matcher's reusable working memory: the
+	// subset DP's tables, sized to the largest idle-padded graph this
+	// arena has solved (2.5 KiB on a 4-core machine), and, once a tie or a
+	// large graph has deferred to it, the blossom solver with its O(n²)
+	// edge matrix. Recycling either is bit-identical (matching.Workspace).
 	mws matching.Workspace
 	// gws is the partition search's reusable working memory at every SMT
 	// level but 2 (grouping.Workspace); reuse is bit-identical too.

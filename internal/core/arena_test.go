@@ -197,8 +197,8 @@ var placeShapes = []struct {
 	cores, level int
 	maxAllocs    float64
 }{
-	{"8apps/4xSMT2", 4, 2, 13},
-	{"8apps/2xSMT4", 2, 4, 12},
+	{"8apps/4xSMT2", 4, 2, 5},
+	{"8apps/2xSMT4", 2, 4, 4},
 }
 
 // coldPlacer returns a Place call over fresh samples on every invocation:
@@ -230,9 +230,10 @@ func coldPlacer(cores, level int) func() machine.Placement {
 }
 
 // TestPlaceAllocations pins the heap allocations of one placement
-// decision without a memo. Step 1 inverts into the arena's estimate rows,
-// so what remains is the extractor's fraction rows, the solvers' result
-// slices and the returned placement.
+// decision without a memo. Step 1 extracts into the arena's fraction rows
+// and inverts into its estimate rows, and placeGroups marks cores in arena
+// scratch, so what remains is the solvers' result slices and the returned
+// placement.
 func TestPlaceAllocations(t *testing.T) {
 	for _, s := range placeShapes {
 		place := coldPlacer(s.cores, s.level)

@@ -9,8 +9,11 @@ import (
 
 // Extractor converts one application's PMU sample (a quantum delta) into a
 // category-fraction vector for a model. Fractions are normalised to the
-// sample's cycles and sum to ~1.
-type Extractor func(c pmu.Counters, width int) []float64
+// sample's cycles and sum to ~1. The vector is written over dst[:0] and
+// returned: a dst with capacity for the model's K categories is reused, so
+// a caller that keeps a row per application extracts without allocating,
+// and a nil dst gets a fresh vector.
+type Extractor func(dst []float64, c pmu.Counters, width int) []float64
 
 // ExtractorFor returns the extractor that reads a K-category model's
 // fractions from the PMU: ThreeCategoryFractions for the paper's final
@@ -31,17 +34,17 @@ func ExtractorFor(k int) (Extractor, error) {
 // ThreeCategoryFractions extracts the paper's final three categories
 // (full-dispatch, frontend stalls, backend stalls) using the §III-B
 // characterization with the default reveals-to-backend rule.
-func ThreeCategoryFractions(c pmu.Counters, width int) []float64 {
+func ThreeCategoryFractions(dst []float64, c pmu.Counters, width int) []float64 {
 	b := characterize.FromCounters(c, width)
-	return []float64{b.FD, b.FE, b.BE}
+	return append(dst[:0], b.FD, b.FE, b.BE)
 }
 
 // ThreeCategoryFractionsRule returns an Extractor using an alternative
 // Step 3 splitting rule (for the reveals-attribution ablation).
 func ThreeCategoryFractionsRule(rule characterize.SplitRule) Extractor {
-	return func(c pmu.Counters, width int) []float64 {
+	return func(dst []float64, c pmu.Counters, width int) []float64 {
 		b := characterize.FromCountersRule(c, width, rule)
-		return []float64{b.FD, b.FE, b.BE}
+		return append(dst[:0], b.FD, b.FE, b.BE)
 	}
 }
 
@@ -65,14 +68,14 @@ var TenCategories = []string{
 // horizontal waste of Step 2 is attributed to the dispatch-slot category —
 // horizontal waste *is* slot waste — keeping the vector a partition of the
 // sample's cycles.
-func TenCategoryFractions(c pmu.Counters, width int) []float64 {
+func TenCategoryFractions(dst []float64, c pmu.Counters, width int) []float64 {
 	b := characterize.FromCounters(c, width)
 	total := float64(c[pmu.CPUCycles])
 	if total == 0 {
-		return make([]float64, len(TenCategories))
+		return append(dst[:0], make([]float64, len(TenCategories))...)
 	}
 	frac := func(e pmu.Event) float64 { return float64(c[e]) / total }
-	return []float64{
+	return append(dst[:0],
 		b.FD,
 		frac(pmu.StallFEICache),
 		frac(pmu.StallFEBranch),
@@ -81,7 +84,7 @@ func TenCategoryFractions(c pmu.Counters, width int) []float64 {
 		frac(pmu.StallBEIQ),
 		frac(pmu.StallBELDQ),
 		frac(pmu.StallBESTQ),
-		frac(pmu.StallBESlots) + b.Revealed/total,
+		frac(pmu.StallBESlots)+b.Revealed/total,
 		frac(pmu.StallBEOther),
-	}
+	)
 }

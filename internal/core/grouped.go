@@ -30,10 +30,13 @@ func (p *Policy) estimate(a *Arena, st *machine.QuantumState, groups [][]int) []
 	if cap(a.frac) < n {
 		a.frac = make([][]float64, n)
 	}
+	if cap(a.fracBack) < n*k {
+		a.fracBack = make([]float64, n*k)
+	}
 	frac := a.frac[:n]
 	est := a.newEstMatrix(n, k)
 	for i := range frac {
-		frac[i] = p.extract(st.Samples[i], st.DispatchWidth)
+		frac[i] = p.extract(a.fracBack[i*k:(i+1)*k:(i+1)*k], st.Samples[i], st.DispatchWidth)
 		copy(est[i], frac[i]) // the inversions below overwrite co-running apps' rows
 		normalize(est[i])
 	}
@@ -146,13 +149,18 @@ func (a *Arena) matchedGroups(mate []int, n int) [][]int {
 
 // placeGroups maps solved groups onto cores, preferring each group's
 // previous core to minimise migrations (a group that stays put keeps its
-// pipeline state).
-func placeGroups(groups [][]int, numApps, numCores int, prev machine.Placement) machine.Placement {
+// pipeline state). The returned placement is fresh, for the caller to
+// keep; the core-occupancy scratch is the arena's.
+func (a *Arena) placeGroups(groups [][]int, numApps, numCores int, prev machine.Placement) machine.Placement {
 	place := make(machine.Placement, numApps)
 	for i := range place {
 		place[i] = -1
 	}
-	usedCore := make([]bool, numCores)
+	if cap(a.usedCore) < numCores {
+		a.usedCore = make([]bool, numCores)
+	}
+	usedCore := a.usedCore[:numCores]
+	clear(usedCore)
 
 	// First pass: groups that can stay on a previous core of one member.
 	for _, g := range groups {

@@ -194,7 +194,8 @@ func TestPlaceGroupedHysteresisSoloCost(t *testing.T) {
 func TestPlaceGroupsKeepsUnchangedGroups(t *testing.T) {
 	prev := machine.Placement{0, 0, 0, 0, 1, 1, 1, 1}
 	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	place := placeGroups(groups, 8, 2, prev)
+	a := new(Arena)
+	place := a.placeGroups(groups, 8, 2, prev)
 	for i := range prev {
 		if place[i] != prev[i] {
 			t.Fatalf("unnecessary migration: %v -> %v", prev, place)
@@ -202,7 +203,7 @@ func TestPlaceGroupsKeepsUnchangedGroups(t *testing.T) {
 	}
 	// Swapped groups across cores still land on a core a member held.
 	swapped := [][]int{{0, 1, 6, 7}, {2, 3, 4, 5}}
-	place = placeGroups(swapped, 8, 2, prev)
+	place = a.placeGroups(swapped, 8, 2, prev) // reuses the arena's core scratch
 	if err := place.Validate(2, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		}
 	}
 
-	return placeGroups(groups, n, st.NumCores, st.Prev)
+	return a.placeGroups(groups, n, st.NumCores, st.Prev)
 }
 
 // smoothAndRemember applies the identity-aware exponential smoothing to the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"synpa/internal/machine"
@@ -102,7 +103,7 @@ func TestPlacePairsKeepsUnchangedPairingInPlace(t *testing.T) {
 	// not migrate anyone: pairs stay on their previous cores.
 	prev := machine.Placement{0, 0, 1, 1}
 	groups := [][]int{{0, 1}, {2, 3}} // identical pairing
-	place := placeGroups(groups, 4, 2, prev)
+	place := new(Arena).placeGroups(groups, 4, 2, prev)
 	for i := range prev {
 		if place[i] != prev[i] {
 			t.Fatalf("unnecessary migration: %v -> %v", prev, place)
@@ -115,7 +116,7 @@ func TestPlacePairsReassignsChangedPairs(t *testing.T) {
 	// members occupied before, with no core hosting two pairs.
 	prev := machine.Placement{0, 0, 1, 1}
 	groups := [][]int{{0, 3}, {1, 2}}
-	place := placeGroups(groups, 4, 2, prev)
+	place := new(Arena).placeGroups(groups, 4, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestPlacePairsHandlesSoloAndEmpty(t *testing.T) {
 	if !reflect.DeepEqual(groups, [][]int{{0, 1}, {2}}) {
 		t.Fatalf("matchedGroups(%v) = %v", mate, groups)
 	}
-	place := placeGroups(groups, 3, 2, prev)
+	place := new(Arena).placeGroups(groups, 3, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +198,9 @@ func TestMatchersAgreeOnOptimum(t *testing.T) {
 	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
 	est := make([][]float64, 8)
 	for i := 0; i < 8; i++ {
-		fi := ThreeCategoryFractions(samples[i], 4)
+		fi := ThreeCategoryFractions(nil, samples[i], 4)
 		mate := prev.CoMate(i)
-		fj := ThreeCategoryFractions(samples[mate], 4)
+		fj := ThreeCategoryFractions(nil, samples[mate], 4)
 		ci, cj, _ := p.Model().Invert(fi, fj, DefaultInversion())
 		if est[i] == nil {
 			est[i] = ci
@@ -270,16 +271,32 @@ func tenCategoryModel() *Model {
 }
 
 // TestExtractorFor pins the model-to-extractor choice: K alone picks it.
+// Each extractor writes over a dst of capacity K without allocating, and
+// the values match a fresh extraction whatever dst held.
 func TestExtractorFor(t *testing.T) {
 	var c pmu.Counters
 	c[pmu.CPUCycles] = 1000
+	c[pmu.InstRetired] = 1200
+	c[pmu.StallFrontend] = 300
+	c[pmu.StallBEROB] = 150
 	for k, want := range map[int]int{3: 3, 10: 10} {
 		ex, err := ExtractorFor(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(ex(c, 4)); got != want {
+		fresh := ex(nil, c, 4)
+		if got := len(fresh); got != want {
 			t.Fatalf("ExtractorFor(%d) extracts %d categories", k, got)
+		}
+		dst := make([]float64, want)
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		if got := ex(dst, c, 4); &got[0] != &dst[0] || !slices.Equal(got, fresh) {
+			t.Fatalf("ExtractorFor(%d) into a K-row gave %v (own storage %v), want %v", k, got, &got[0] == &dst[0], fresh)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { ex(dst, c, 4) }); allocs != 0 {
+			t.Fatalf("ExtractorFor(%d) into a K-row made %v allocations", k, allocs)
 		}
 	}
 	for _, k := range []int{0, 1, 2, 4, 5, 9, 11} {

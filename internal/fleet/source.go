@@ -114,7 +114,7 @@ func (s *traceSource) info(name string) (*appInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		in.cats = s.extract(counters, s.width)
+		in.cats = s.extract(nil, counters, s.width)
 	}
 	s.memo[name] = in
 	return in, nil

@@ -495,16 +495,19 @@ func (b *blossomSolver) matchingRound() bool {
 // not safe for concurrent use — give each goroutine its own.
 //
 // Reuse is bit-identical: the solver's init resets every cell the
-// algorithm can touch, so the matching computed through a recycled
-// workspace is exactly the matching a fresh allocation computes. Only the
-// allocation count changes — the solver's O(n²) edge matrix is the
-// dominant per-call allocation of a placement decision, which is why the
-// serving path (core.Arena) carries one of these per request context.
+// algorithm can touch, and the subset DP writes every table cell before
+// reading it, so the matching computed through a recycled workspace is
+// exactly the matching a fresh allocation computes. Only the allocation
+// count changes — the solver's O(n²) edge matrix and the DP's 2ⁿ-cell
+// tables are the dominant per-call allocations of a placement decision,
+// which is why the serving path (core.Arena) carries one of these per
+// request context. Each part grows to the largest graph it has seen and
+// is never shrunk.
 type Workspace struct {
 	b      *blossomSolver
-	iw     [][]int64     // integer-weight scratch for the complement transform
-	iwBack []int64       // backing array of iw
-	dp     *paddedTables // MinWeightPaddedMatching's subset-DP tables
+	iw     [][]int64    // integer-weight scratch for the complement transform
+	iwBack []int64      // backing array of iw
+	dp     paddedTables // MinWeightPaddedMatching's subset-DP tables
 }
 
 // solver returns an initialised solver for an n-vertex run, recycling the

@@ -10,13 +10,16 @@ import (
 // BenchmarkPaddedMatching sets it: on a 2-CPU x86-64 host the DP ran
 // 3.4–5.6× faster than blossom at 8 vertices and 2.1–3.5× at 10, but at
 // 12 its 2ⁿ table made it about 15% slower than blossom on a full machine.
+// At 10 vertices the tables take 10 KiB.
 const maxPaddedVertices = 10
 
-// paddedTables is the subset DP's working memory, one cell per vertex mask.
+// paddedTables is the subset DP's working memory: one cell per vertex mask
+// of the largest graph solved through it, 10 bytes each (2.5 KiB for the
+// 8-vertex graph of a 4-core SMT2 machine, 10 KiB at maxPaddedVertices).
 type paddedTables struct {
-	gain   [1 << maxPaddedVertices]int64 // best transformed weight reaching the mask; -1 unreached
-	choice [1 << maxPaddedVertices]uint8 // last pair taken, packed i<<4 | j
-	tied   [1 << maxPaddedVertices]bool  // more than one grouping reaches the mask at gain
+	gain   []int64 // best transformed weight reaching the mask; -1 unreached
+	choice []uint8 // last pair taken, packed i<<4 | j
+	tied   []bool  // more than one grouping reaches the mask at gain
 }
 
 // MinWeightPaddedMatching is MinWeightPerfectMatching on the idle-padded
@@ -106,7 +109,11 @@ func (ws *Workspace) paddedDP(w [][]float64, n int) ([]int, bool) {
 		}
 	}
 
-	t := ws.tables()
+	t := new(paddedTables) // a nil workspace's tables last for this call
+	if ws != nil {
+		t = &ws.dp
+	}
+	t.grow(nv)
 	full := 1<<nv - 1
 	for s := 1; s <= full; s++ {
 		t.gain[s] = -1
@@ -154,14 +161,14 @@ func (t *paddedTables) relax(s, i, j int, g int64) {
 	}
 }
 
-// tables returns the DP's working memory: the workspace's, or a fresh one
-// for a nil workspace.
-func (ws *Workspace) tables() *paddedTables {
-	if ws == nil {
-		return new(paddedTables)
+// grow sizes the tables for an nv-vertex graph. Tables that already hold
+// 2ⁿᵛ cells are kept as they are, so a workspace grows only when a graph
+// larger than any before arrives. Cell contents are unspecified: the DP
+// writes every cell before it reads it.
+func (t *paddedTables) grow(nv int) {
+	if size := 1 << nv; len(t.gain) < size {
+		t.gain = make([]int64, size)
+		t.choice = make([]uint8, size)
+		t.tied = make([]bool, size)
 	}
-	if ws.dp == nil {
-		ws.dp = new(paddedTables)
-	}
-	return ws.dp
 }

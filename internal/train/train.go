@@ -78,6 +78,10 @@ type Report struct {
 	// MSE and R2 are the per-category fit statistics.
 	MSE []float64
 	R2  []float64
+	// Constant names, in category order, each category whose kept
+	// responses are all equal. Its fit is exact (R² 1) and says nothing:
+	// the training runs never exercised that category.
+	Constant []string
 }
 
 // isolatedProfile is one application's ST profile.
@@ -161,7 +165,7 @@ func profileIsolated(m *apps.Model, opt *Options) (*isolatedProfile, error) {
 	var cumC float64
 	k := len(opt.Categories)
 	for _, s := range samples {
-		f := opt.Extract(s, opt.Machine.Core.DispatchWidth)
+		f := opt.Extract(nil, s, opt.Machine.Core.DispatchWidth)
 		if len(f) != k {
 			return nil, fmt.Errorf("train: extractor produced %d categories, want %d", len(f), k)
 		}
@@ -227,8 +231,8 @@ func runPair(a, b *apps.Model, pa, pb *isolatedProfile, opt *Options) (*pairSamp
 			continue
 		}
 		// Per-work SMT category values for both directions.
-		smtA := opt.Extract(sa[q], opt.Machine.Core.DispatchWidth)
-		smtB := opt.Extract(sb[q], opt.Machine.Core.DispatchWidth)
+		smtA := opt.Extract(nil, sa[q], opt.Machine.Core.DispatchWidth)
+		smtB := opt.Extract(nil, sb[q], opt.Machine.Core.DispatchWidth)
 		cycA := float64(sa[q][pmu.CPUCycles])
 		cycB := float64(sb[q][pmu.CPUCycles])
 		ya := yArena[:k:k]
@@ -361,6 +365,19 @@ func Train(models []*apps.Model, opt Options) (*core.Model, *Report, error) {
 		model.MSE[cat] = fit.MSE
 		report.MSE[cat] = fit.MSE
 		report.R2[cat] = fit.R2
+		if constant(y) {
+			report.Constant = append(report.Constant, opt.Categories[cat])
+		}
 	}
 	return model, report, nil
+}
+
+// constant reports whether every value of y equals the first.
+func constant(y []float64) bool {
+	for _, v := range y {
+		if v != y[0] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"synpa/internal/apps"
@@ -135,6 +136,38 @@ func TestTrainTenCategoryModel(t *testing.T) {
 	}
 	if len(rep.MSE) != 10 {
 		t.Fatalf("MSE has %d entries", len(rep.MSE))
+	}
+}
+
+// TestTrainFlagsConstantCategories pins which categories a tiny training
+// run never exercises. On four applications and 10 pair quanta (the
+// configuration the serving smoke test trains) the simulator never raises
+// the IQ-full, LDQ-full, STQ-full or "other" backend stalls, so those four
+// ten-category responses are constant; the three-category model on the
+// same runs has none.
+func TestTrainFlagsConstantCategories(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	models := smallTrainingSet(t, "mcf", "lbm_r", "leela_r", "gobmk")
+	opt := DefaultOptions()
+	opt.PairQuanta = 10
+	_, rep3, err := Train(models, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep3.Constant) != 0 {
+		t.Fatalf("three-category training flagged %q", rep3.Constant)
+	}
+	opt.Extract = core.TenCategoryFractions
+	opt.Categories = core.TenCategories
+	_, rep10, err := Train(models, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"BE: IQ full", "BE: LDQ full", "BE: STQ full", "BE: other"}
+	if !slices.Equal(rep10.Constant, want) {
+		t.Fatalf("ten-category training flagged %q, want %q", rep10.Constant, want)
 	}
 }
 
