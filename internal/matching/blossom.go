@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Errors returned by the matchers.
@@ -94,22 +95,32 @@ const infWeight = int64(math.MaxInt64 / 4)
 // initialising the per-run state; init must run before every matching.
 func newSolverAlloc(capN int) *blossomSolver {
 	size := 2*capN + 8
+	// A workspace allocates a solver whenever the pool has none large
+	// enough, so the vectors and matrices share backing arrays: seven
+	// allocations in all.
+	ints := make([]int, 6*size+size*(capN+1))
+	vec := func() []int {
+		v := ints[:size:size]
+		ints = ints[size:]
+		return v
+	}
 	b := &blossomSolver{
 		capN:       capN,
 		g:          make([][]edge, size),
 		lab:        make([]int64, size),
-		match:      make([]int, size),
-		slack:      make([]int, size),
-		st:         make([]int, size),
-		pa:         make([]int, size),
+		match:      vec(),
+		slack:      vec(),
+		st:         vec(),
+		pa:         vec(),
 		flowerFrom: make([][]int, size),
 		flower:     make([][]int, size),
-		s:          make([]int, size),
-		vis:        make([]int, size),
+		s:          vec(),
+		vis:        vec(),
 	}
+	gBack := make([]edge, size*size)
 	for i := range b.g {
-		b.g[i] = make([]edge, size)
-		b.flowerFrom[i] = make([]int, capN+1)
+		b.g[i] = gBack[i*size : (i+1)*size : (i+1)*size]
+		b.flowerFrom[i] = ints[i*(capN+1) : (i+1)*(capN+1) : (i+1)*(capN+1)]
 	}
 	return b
 }
@@ -489,7 +500,7 @@ func (b *blossomSolver) matchingRound() bool {
 	}
 }
 
-// Workspace holds the solver's working memory for reuse across calls.
+// Workspace holds the matchers' working memory for reuse across calls.
 // The zero value is ready to use; a nil *Workspace allocates fresh memory
 // per call (the behaviour of the package-level functions). A Workspace is
 // not safe for concurrent use — give each goroutine its own.
@@ -498,29 +509,35 @@ func (b *blossomSolver) matchingRound() bool {
 // algorithm can touch, and the subset DP writes every table cell before
 // reading it, so the matching computed through a recycled workspace is
 // exactly the matching a fresh allocation computes. Only the allocation
-// count changes — the solver's O(n²) edge matrix and the DP's 2ⁿ-cell
-// tables are the dominant per-call allocations of a placement decision,
-// which is why the serving path (core.Arena) carries one of these per
-// request context. Each part grows to the largest graph it has seen and
-// is never shrunk.
+// count changes. The DP's 2ⁿ-cell tables and the integer-weight scratch
+// are the workspace's own and grow to the largest graph it has seen. The
+// blossom solver's O(n²) edge matrix is not kept: the padded matcher
+// defers to blossom only on ties and large graphs, so a workspace borrows
+// a solver from a package-level pool for one matching and returns it.
 type Workspace struct {
-	b      *blossomSolver
 	iw     [][]int64    // integer-weight scratch for the complement transform
 	iwBack []int64      // backing array of iw
 	dp     paddedTables // MinWeightPaddedMatching's subset-DP tables
 }
 
-// solver returns an initialised solver for an n-vertex run, recycling the
-// workspace's solver when it is large enough.
+// solvers holds blossom solvers between workspace matchings. Any pooled
+// solver of capacity n or more serves an n-vertex run: init resets it to
+// the state a fresh one has.
+var solvers sync.Pool
+
+// solver returns an initialised solver for an n-vertex run: a fresh one for
+// a nil workspace, otherwise one borrowed from solvers, which
+// maxWeightMatching returns once the matching is read out.
 func (ws *Workspace) solver(n int, w [][]int64) *blossomSolver {
 	if ws == nil {
 		return newBlossomSolver(n, w)
 	}
-	if ws.b == nil || ws.b.capN < n {
-		ws.b = newSolverAlloc(n)
+	b, _ := solvers.Get().(*blossomSolver)
+	if b == nil || b.capN < n {
+		b = newSolverAlloc(n)
 	}
-	ws.b.init(n, w)
-	return ws.b
+	b.init(n, w)
+	return b
 }
 
 // intMatrix returns an n×n int64 scratch matrix (contents unspecified; the
@@ -564,6 +581,9 @@ func maxWeightMatching(ws *Workspace, n int, w [][]int64) []int {
 		} else {
 			mate[u-1] = -1
 		}
+	}
+	if ws != nil {
+		solvers.Put(b)
 	}
 	return mate
 }

@@ -17,10 +17,12 @@ const maxPaddedVertices = 10
 // of the largest graph solved through it, 10 bytes each (2.5 KiB for the
 // 8-vertex graph of a 4-core SMT2 machine, 10 KiB at maxPaddedVertices).
 type paddedTables struct {
-	gain   []int64 // best transformed weight reaching the mask; -1 unreached
-	choice []uint8 // last pair taken, packed i<<4 | j
-	tied   []bool  // more than one grouping reaches the mask at gain
+	gain []int64  // 1 + best transformed weight reaching the mask; 0 unreached
+	pick []uint16 // last pair taken, packed i<<4 | j, and tiedBit
 }
+
+// tiedBit marks a mask that more than one grouping reaches at its gain.
+const tiedBit = 1 << 8
 
 // MinWeightPaddedMatching is MinWeightPerfectMatching on the idle-padded
 // graph of SYNPA's Step 3: vertices 0..n−1 are applications and the
@@ -114,50 +116,59 @@ func (ws *Workspace) paddedDP(w [][]float64, n int) ([]int, bool) {
 		t = &ws.dp
 	}
 	t.grow(nv)
-	full := 1<<nv - 1
-	for s := 1; s <= full; s++ {
-		t.gain[s] = -1
-	}
-	t.gain[0], t.tied[0] = 0, false
+	// One shared length for both tables lets relax drop its bounds checks.
+	size := 1 << nv
+	gain, pick := t.gain[:size], t.pick[:size]
+	full := size - 1
+	clear(gain)
+	gain[0], pick[0] = 1, 0
 	for s := 0; s < full; s++ {
-		if t.gain[s] < 0 {
+		if gain[s] == 0 {
 			continue
 		}
 		i := bits.TrailingZeros(uint(^s))
 		if i >= n {
 			// Every application is placed: pair the idle slots in order.
-			t.relax(s, i, i+1, iw[i][i+1])
+			g := iw[i][i+1]
+			relax(gain, pick, s, i, i+1, g)
 			continue
 		}
 		for j := i + 1; j < n; j++ {
 			if s&(1<<j) == 0 {
-				t.relax(s, i, j, iw[i][j])
+				g := iw[i][j]
+				relax(gain, pick, s, i, j, g)
 			}
 		}
 		if k := n + bits.OnesCount(uint(s>>n)); k < nv {
-			t.relax(s, i, k, iw[i][k])
+			g := iw[i][k]
+			relax(gain, pick, s, i, k, g)
 		}
 	}
-	if t.tied[full] {
+	if pick[full]&tiedBit != 0 {
 		return nil, false
 	}
 	mate := make([]int, nv)
 	for s := full; s != 0; {
-		i, j := int(t.choice[s]>>4), int(t.choice[s]&0xf)
+		i, j := int(pick[s]>>4&0xf), int(pick[s]&0xf)
 		mate[i], mate[j] = j, i
 		s &^= 1<<i | 1<<j
 	}
 	return mate, true
 }
 
-// relax offers mask s extended by the pair (i, j) of transformed weight g.
-func (t *paddedTables) relax(s, i, j int, g int64) {
-	ns := s | 1<<i | 1<<j
-	switch g += t.gain[s]; {
-	case g > t.gain[ns]:
-		t.gain[ns], t.choice[ns], t.tied[ns] = g, uint8(i<<4|j), t.tied[s]
-	case g == t.gain[ns]:
-		t.tied[ns] = true
+// relax offers mask s extended by the pair (i, j) of transformed weight g
+// in tables of one shared power-of-two length. Masking the extended index
+// with that length less one keeps it in range for both tables, so once
+// relax is inlined into paddedDP, where the two lengths are one value and
+// s < len(gain) is known, the compiler proves every access in bounds. The
+// CI bench-smoke job fails if a bounds check comes back at a relax call.
+func relax(gain []int64, pick []uint16, s, i, j int, g int64) {
+	ns := (s | 1<<i | 1<<j) & (len(gain) - 1)
+	switch g += gain[s]; {
+	case g > gain[ns]:
+		gain[ns], pick[ns] = g, uint16(i<<4|j)|pick[s]&tiedBit
+	case g == gain[ns]:
+		pick[ns] |= tiedBit
 	}
 }
 
@@ -168,7 +179,6 @@ func (t *paddedTables) relax(s, i, j int, g int64) {
 func (t *paddedTables) grow(nv int) {
 	if size := 1 << nv; len(t.gain) < size {
 		t.gain = make([]int64, size)
-		t.choice = make([]uint8, size)
-		t.tied = make([]bool, size)
+		t.pick = make([]uint16, size)
 	}
 }

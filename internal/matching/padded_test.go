@@ -227,8 +227,8 @@ func TestPaddedTablesSizedToGraph(t *testing.T) {
 	if _, ok := ws.paddedDP(paddedGraph(8, 6, 1, cell), 6); !ok {
 		t.Fatal("the DP deferred on continuous weights")
 	}
-	cells := func() []int { return []int{len(ws.dp.gain), len(ws.dp.choice), len(ws.dp.tied)} }
-	if got := cells(); !slices.Equal(got, []int{256, 256, 256}) {
+	cells := func() []int { return []int{len(ws.dp.gain), len(ws.dp.pick)} }
+	if got := cells(); !slices.Equal(got, []int{256, 256}) {
 		t.Fatalf("after an 8-vertex solve the tables hold %v cells, want 256 each", got)
 	}
 	gain := &ws.dp.gain[0]
@@ -237,7 +237,7 @@ func TestPaddedTablesSizedToGraph(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { ws.paddedDP(w6, 4) }); allocs != 1 {
 		t.Fatalf("a 6-vertex solve after an 8-vertex one made %v allocations, want 1 (the mate)", allocs)
 	}
-	if got := cells(); !slices.Equal(got, []int{256, 256, 256}) || &ws.dp.gain[0] != gain {
+	if got := cells(); !slices.Equal(got, []int{256, 256}) || &ws.dp.gain[0] != gain {
 		t.Fatalf("a 6-vertex solve replaced the 8-vertex tables (%v cells)", got)
 	}
 }

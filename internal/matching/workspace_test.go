@@ -24,8 +24,9 @@ func randMatrix(rng *xrand.RNG, n int) [][]float64 {
 
 // TestWorkspaceReuseBitIdentical drives one workspace through a size-varying
 // sequence of matchings (grow, shrink, regrow) and checks every result
-// against a fresh per-call solve: solver recycling must never change a
-// matching, only the allocation count.
+// against a fresh per-call solve: a workspace's scratch and the pooled
+// solvers it borrows must never change a matching, only the allocation
+// count.
 func TestWorkspaceReuseBitIdentical(t *testing.T) {
 	rng := xrand.New(7)
 	var ws Workspace
@@ -64,6 +65,36 @@ func TestWorkspacePerfectReuse(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) || gt != wt {
 			t.Fatalf("n=%d: workspace perfect matching diverged", n)
+		}
+	}
+}
+
+// TestRecycledSolverBitIdentical hands one solver through a size-varying
+// sequence of runs (grow, shrink, regrow), as the solver pool hands solvers
+// from workspace to workspace, and checks every matching against a fresh
+// solver's. It drives init directly, so it does not depend on which
+// solvers sync.Pool keeps.
+func TestRecycledSolverBitIdentical(t *testing.T) {
+	rng := xrand.New(11)
+	run := func(b *blossomSolver, n int, iw [][]int64) []int {
+		b.init(n, iw)
+		for b.matchingRound() {
+		}
+		return append([]int(nil), b.match[1:n+1]...)
+	}
+	recycled := newSolverAlloc(16)
+	for round, n := range []int{16, 4, 12, 2, 16, 8, 10} {
+		w := randMatrix(rng, n)
+		iw := (*Workspace)(nil).intMatrix(n)
+		for i := range iw {
+			for j := range iw[i] {
+				iw[i][j] = int64(w[i][j]*weightScale) + 1
+			}
+		}
+		got := run(recycled, n, iw)
+		want := run(newSolverAlloc(n), n, iw)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d (n=%d): recycled solver matched %v, fresh %v", round, n, got, want)
 		}
 	}
 }

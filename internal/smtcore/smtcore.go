@@ -534,18 +534,10 @@ func (c *Core) Run(cycles uint64) {
 		c.engine.StepCycles += cycles
 		return
 	}
-	remaining := cycles
-	for remaining > 0 {
-		// Tier 1: skip fully dormant windows outright.
-		if skipped := c.fastForward(remaining); skipped > 0 {
-			remaining -= skipped
-			c.engine.FFCycles += skipped
-			continue
-		}
-		// Tier 2: an inline-event span, at least one cycle long.
-		ran := c.runSpanLite(remaining)
-		remaining -= ran
-		c.engine.SpanCycles += ran
+	// Tier 1 skips a fully dormant start; the span tier runs the rest,
+	// skipping later dormant windows in place.
+	if rest := cycles - c.skipDormant(cycles); rest > 0 {
+		c.runSpanLite(rest)
 	}
 }
 

@@ -19,11 +19,11 @@
 //     the blocked-ness invariant until the expiry (the thread's own state
 //     cannot change while it neither dispatches, retires nor fires events).
 //
-// A span therefore ends only at the cycle limit, when every active thread
-// has gone dormant (the bulk tier in fastforward.go then skips the dormant
-// window in O(1)), or after a short streak of contention-stalled cycles.
-// PMU counters accumulate in per-thread liteCounters and flush once per
-// span.
+// A span ends only at the cycle limit. When every active thread has gone
+// dormant, or after a short streak of contention-stalled cycles, the span
+// syncs its locals and lets the bulk tier in fastforward.go skip what it
+// can in place (skipDormant), then reloads and continues. PMU counters
+// accumulate in per-thread liteCounters and flush once per span.
 //
 // The algorithm has two layouts. At SMT2 (runSpanLite2 below) every
 // per-thread quantity is a scalar local and the two dispatch-priority
@@ -34,11 +34,15 @@
 // fastforward_test.go pin both layouts to the reference loop.
 package smtcore
 
-import "synpa/internal/pmu"
+import (
+	"math"
+
+	"synpa/internal/pmu"
+)
 
 // maxStallStreak is the number of consecutive contention-stalled cycles
-// (no dispatch, some thread not dormant) after which a span ends so the
-// bulk tier can re-screen.
+// (no dispatch, some thread not dormant) after which a span lets the bulk
+// tier re-screen.
 const maxStallStreak = 8
 
 // liteCounters accumulates one thread's per-cycle PMU signatures over a
@@ -51,24 +55,57 @@ type liteCounters struct {
 	iqCnt, otherCnt, memLatCnt       uint64
 }
 
-// runSpanLite executes up to limit cycles through the span tier, returning
-// the number executed: at least one whenever limit > 0. SMT2 cores run the
-// unrolled layout, which is measurably faster there (DESIGN.md, Tier 2);
+// runSpanLite executes exactly limit cycles through the span tier, skipping
+// the dormant windows Tier 1 can skip in place (skipDormant). SMT2 cores run
+// the unrolled layout, which is measurably faster there (DESIGN.md, Tier 2);
 // every other level runs the slice-based one.
-func (c *Core) runSpanLite(limit uint64) uint64 {
+func (c *Core) runSpanLite(limit uint64) {
 	if len(c.threads) == 2 {
-		return c.runSpanLite2(limit)
+		c.runSpanLite2(limit)
+		return
 	}
-	return c.runSpanLiteN(limit)
+	c.runSpanLiteN(limit)
 }
+
+// skipDormant runs Tier 1 until it declines or limit cycles have passed and
+// returns the cycles it skipped. Run calls it before a span, and a span
+// calls it in place whenever it goes fully dormant or completes a
+// contention streak: at the same cycles, on the same state, where a span
+// that ended there would hand back to Run. The thread structs and c.prio
+// must be synced first.
+func (c *Core) skipDormant(limit uint64) uint64 {
+	var skipped uint64
+	for skipped < limit {
+		m := c.fastForward(limit - skipped)
+		if m == 0 {
+			break
+		}
+		skipped += m
+	}
+	c.engine.FFCycles += skipped
+	return skipped
+}
+
+// ilpCarry returns 1 when the ILP dither accumulator has reached 1 and 0
+// otherwise, without a branch: a branch on the carry follows the fractional
+// ILP and mispredicts often. It is exact for acc in [+0, 2), the
+// accumulator's whole range (DESIGN.md, Tier 2): non-negative floats order
+// as their bit patterns do, and subtracting a zero carry leaves acc
+// unchanged.
+func ilpCarry(acc float64) int {
+	return int((math.Float64bits(acc)-oneBits)>>63 ^ 1)
+}
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
 
 // runSpanLite2 is the SMT2 tier: every per-thread quantity lives in a
 // scalar local, the two dispatch-priority parities are unrolled, and stall
 // events, miss expiries and phase crossings are handled inline.
-func (c *Core) runSpanLite2(limit uint64) uint64 {
+func (c *Core) runSpanLite2(limit uint64) {
 	t0, t1 := &c.threads[0], &c.threads[1]
 	active0, active1 := t0.inst != nil, t1.inst != nil
-	n := limit
+	n := limit // span cycles plus the cycles left; in-place skips shrink it
 
 	// --- hoist state into scalar locals ------------------------------------
 	dispW, retireW := c.cfg.DispatchWidth, c.cfg.RetireWidth
@@ -115,12 +152,11 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 	}
 
 	i := uint64(0)
-	stop := false
 	crossed := false
 	stallStreak := 0
 	runOdd := c.prio == 1
 
-	for i < n && !stop {
+	for i < n {
 		i++
 		dispatched := false
 		if !runOdd {
@@ -196,9 +232,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 					// the supply dither still advances before the cascade
 					// discards it, exactly as in step().
 					acc0 += frac0
-					if acc0 >= 1 {
-						acc0--
-					}
+					acc0 -= float64(ilpCarry(acc0))
 					cnt0.memLatCnt++
 				} else if fe0 > 0 {
 					fe0--
@@ -208,13 +242,10 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 						cnt0.feBCnt++
 					}
 				} else {
-					supply := base0
 					acc0 += frac0
-					if acc0 >= 1 {
-						supply++
-						acc0--
-					}
-					k := supply
+					carry := ilpCarry(acc0)
+					acc0 -= float64(carry)
+					k := base0 + carry
 					cause := 0
 					if win0 < k {
 						k = win0
@@ -336,9 +367,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 					// the supply dither still advances before the cascade
 					// discards it, exactly as in step().
 					acc1 += frac1
-					if acc1 >= 1 {
-						acc1--
-					}
+					acc1 -= float64(ilpCarry(acc1))
 					cnt1.memLatCnt++
 				} else if fe1 > 0 {
 					fe1--
@@ -348,13 +377,10 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 						cnt1.feBCnt++
 					}
 				} else {
-					supply := base1
 					acc1 += frac1
-					if acc1 >= 1 {
-						supply++
-						acc1--
-					}
-					k := supply
+					carry := ilpCarry(acc1)
+					acc1 -= float64(carry)
+					k := base1 + carry
 					cause := 0
 					if win1 < k {
 						k = win1
@@ -534,9 +560,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 					// the supply dither still advances before the cascade
 					// discards it, exactly as in step().
 					acc1 += frac1
-					if acc1 >= 1 {
-						acc1--
-					}
+					acc1 -= float64(ilpCarry(acc1))
 					cnt1.memLatCnt++
 				} else if fe1 > 0 {
 					fe1--
@@ -546,13 +570,10 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 						cnt1.feBCnt++
 					}
 				} else {
-					supply := base1
 					acc1 += frac1
-					if acc1 >= 1 {
-						supply++
-						acc1--
-					}
-					k := supply
+					carry := ilpCarry(acc1)
+					acc1 -= float64(carry)
+					k := base1 + carry
 					cause := 0
 					if win1 < k {
 						k = win1
@@ -666,9 +687,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 					// the supply dither still advances before the cascade
 					// discards it, exactly as in step().
 					acc0 += frac0
-					if acc0 >= 1 {
-						acc0--
-					}
+					acc0 -= float64(ilpCarry(acc0))
 					cnt0.memLatCnt++
 				} else if fe0 > 0 {
 					fe0--
@@ -678,13 +697,10 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 						cnt0.feBCnt++
 					}
 				} else {
-					supply := base0
 					acc0 += frac0
-					if acc0 >= 1 {
-						supply++
-						acc0--
-					}
-					k := supply
+					carry := ilpCarry(acc0)
+					acc0 -= float64(carry)
+					k := base0 + carry
 					cause := 0
 					if win0 < k {
 						k = win0
@@ -825,23 +841,55 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 		}
 		if dispatched {
 			stallStreak = 0
-		} else {
-			// No dispatch this cycle. If every active thread is provably
-			// dormant (frozen on a miss or frontend-starved), hand the
-			// window to the bulk tier in fastforward.go, which skips it in
-			// O(1); otherwise a short streak of contention-stalled cycles
-			// ends the span so the bulk tier can re-screen.
-			if (!active0 || frozen0 || fe0 > 0) && (!active1 || frozen1 || fe1 > 0) {
-				stop = true
-			} else if stallStreak++; stallStreak >= maxStallStreak {
-				stop = true
+			continue
+		}
+		// No dispatch this cycle: on full dormancy (every active thread
+		// frozen on a miss or frontend-starved) or a short streak of
+		// contention-stalled cycles, let Tier 1 skip what it can of the
+		// rest of the span.
+		if (active0 && !frozen0 && fe0 <= 0) || (active1 && !frozen1 && fe1 <= 0) {
+			if stallStreak++; stallStreak < maxStallStreak {
+				continue
+			}
+		}
+		stallStreak = 0
+		if i == n {
+			break
+		}
+		if active0 {
+			t0.robHeld, t0.feLeft, t0.missLeft = rob0, fe0, miss0
+			t0.iqHeld, t0.ldqHeld, t0.stqHeld = iqH0, ldq0, stq0
+			t0.ilpAcc = acc0
+		}
+		if active1 {
+			t1.robHeld, t1.feLeft, t1.missLeft = rob1, fe1, miss1
+			t1.iqHeld, t1.ldqHeld, t1.stqHeld = iqH1, ldq1, stq1
+			t1.ilpAcc = acc1
+		}
+		c.prio = 0
+		if runOdd {
+			c.prio = 1
+		}
+		if skipped := c.skipDormant(n - i); skipped > 0 {
+			n -= skipped
+			runOdd = c.prio == 1
+			if active0 {
+				rob0, fe0, miss0, acc0 = t0.robHeld, t0.feLeft, t0.missLeft, t0.ilpAcc
+				ldq0, stq0 = t0.ldqHeld, t0.stqHeld
+			}
+			if active1 {
+				rob1, fe1, miss1, acc1 = t1.robHeld, t1.feLeft, t1.missLeft, t1.ilpAcc
+				ldq1, stq1 = t1.ldqHeld, t1.stqHeld
 			}
 		}
 	}
 
 	// --- flush --------------------------------------------------------------
 	c.cycle += i
-	c.prio = (c.prio + int(i&1)) & 1
+	c.prio = 0
+	if runOdd {
+		c.prio = 1
+	}
 	if active0 {
 		t0.robHeld, t0.window, t0.feLeft, t0.missLeft = rob0, win0, fe0, miss0
 		t0.iqHeld, t0.ldqHeld, t0.stqHeld = iqH0, ldq0, stq0
@@ -854,7 +902,7 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 		t1.ilpAcc = acc1
 		flushLite(t1, i, &cnt1, specPend1)
 	}
-	return i
+	c.engine.SpanCycles += i
 }
 
 // countStall records one zero-dispatch cycle with step()'s cause

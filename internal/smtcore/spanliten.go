@@ -8,9 +8,9 @@
 // down per cycle, phase crossings refreshing the contention rates at the
 // end of the crossing cycle, and miss-blocked threads frozen once
 // dispatchBlockedOwn proves the blocked-ness invariant. Per-thread state
-// lives in a fixed array of liteState instead of unrolled scalars; the
-// per-thread rate parameters are read from the thread itself, which
-// refreshRates updates in place.
+// lives in a fixed array of liteState instead of unrolled scalars, rate
+// parameters included: they are copied from the thread at load and again
+// after every refreshRates.
 //
 // The differential tests in fastforward_test.go and level_test.go pin this
 // tier to the reference loop bit-for-bit at SMT levels 1, 3 and 4.
@@ -22,37 +22,58 @@ type liteState struct {
 	active bool // an application is bound to the slot
 	frozen bool // miss-blocked, with the blocked-ness proven invariant until the expiry
 
-	rob, win, fe, miss int
-	iq, ldq, stq       float64
-	acc                float64
-	pb                 int64  // dispatched instructions left before a phase boundary
-	pending            uint64 // dispatched instructions not yet fed to AdvanceDispatched
-	cnt                liteCounters
+	rob, win, fe, miss, kind int
+	iq, ldq, stq             float64
+	acc                      float64
+	pb                       int64  // dispatched instructions left before a phase boundary
+	pending                  uint64 // dispatched instructions not yet fed to AdvanceDispatched
+	cnt                      liteCounters
+
+	// Rate parameters, copied from the thread (see loadRates).
+	base                int
+	frac                float64
+	loadR, storeR, depF float64
+	invD, invL, invS    float64
 }
+
+// runSpanLiteN's occupancy sums name the four entries of its state array
+// (unused entries hold +0): these constants overflow, and the build fails,
+// if MaxSMTLevel is not 4.
+const (
+	_ = uint(MaxSMTLevel - 4)
+	_ = uint(4 - MaxSMTLevel)
+)
 
 // load copies the thread's microstate into the span locals.
 func (st *liteState) load() {
 	t := st.t
-	st.rob, st.win, st.fe, st.miss = t.robHeld, t.window, t.feLeft, t.missLeft
+	st.rob, st.win, st.fe, st.miss, st.kind = t.robHeld, t.window, t.feLeft, t.missLeft, t.feKind
 	st.iq, st.ldq, st.stq = t.iqHeld, t.ldqHeld, t.stqHeld
 }
 
 // sync writes the span locals back to the thread (the ILP accumulator is
-// written at the flush only; nothing read mid-span depends on it).
+// synced separately, where Tier 1 or the flush reads it).
 func (st *liteState) sync() {
 	t := st.t
 	t.robHeld, t.window, t.feLeft, t.missLeft = st.rob, st.win, st.fe, st.miss
 	t.iqHeld, t.ldqHeld, t.stqHeld = st.iq, st.ldq, st.stq
 }
 
-// runSpanLiteN executes up to limit cycles on a core of any SMT level,
-// returning the number executed. It runs at least one cycle whenever
-// limit > 0, and ends early only when every active thread has gone dormant
-// or dispatch has stalled for a short streak.
-func (c *Core) runSpanLiteN(limit uint64) uint64 {
+// loadRates copies the thread's contention-adjusted rate parameters, which
+// change only in refreshRates.
+func (st *liteState) loadRates() {
+	t := st.t
+	st.base, st.frac = t.ilpBase, t.ilpFrac
+	st.loadR, st.storeR, st.depF = t.loadRatio, t.storeRatio, t.depFrac
+	st.invD, st.invL, st.invS = t.invDepFrac, t.invLoadRatio, t.invStoreRatio
+}
+
+// runSpanLiteN executes exactly limit cycles on a core of any SMT level,
+// skipping in place the dormant windows Tier 1 can skip (skipDormant).
+func (c *Core) runSpanLiteN(limit uint64) {
 	level := len(c.threads)
 	var sts [MaxSMTLevel]liteState
-	for s := 0; s < level; s++ {
+	for s := range sts[:level] {
 		st := &sts[s]
 		st.t = &c.threads[s]
 		if st.t.inst == nil {
@@ -60,6 +81,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 		}
 		st.active = true
 		st.load()
+		st.loadRates()
 		st.acc = st.t.ilpAcc
 		st.pb = int64(st.t.inst.InstsToPhaseBoundary())
 	}
@@ -75,13 +97,13 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 	ldqCap, stqCap := c.ldqCap, c.stqCap
 	ldqDead, stqDead := c.ldqDead, c.stqDead
 
+	n := limit // span cycles plus the cycles left; in-place skips shrink it
 	i := uint64(0)
-	stop := false
 	crossed := false
 	stallStreak := 0
 	prio := c.prio
 
-	for i < limit && !stop {
+	for i < n {
 		i++
 		first := prio
 		if prio++; prio == level {
@@ -104,15 +126,14 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			}
 			retireLeft -= k
 			st.rob -= k
-			t := st.t
 			if !ldqDead {
-				st.ldq -= t.loadRatio * float64(k)
+				st.ldq -= st.loadR * float64(k)
 				if st.ldq < 0 {
 					st.ldq = 0
 				}
 			}
 			if !stqDead {
-				st.stq -= t.storeRatio * float64(k)
+				st.stq -= st.storeR * float64(k)
 				if st.stq < 0 {
 					st.stq = 0
 				}
@@ -124,7 +145,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 		}
 
 		// --- miss timers (index order, mirrors step) --------------------
-		for s := 0; s < level; s++ {
+		for s := range sts[:level] {
 			st := &sts[s]
 			if st.active && st.miss > 0 {
 				if st.miss--; st.miss == 0 {
@@ -136,10 +157,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 
 		// --- dispatch stage (mirrors step) ------------------------------
 		slots := dispW
-		robUsed := 0
-		for s := 0; s < level; s++ {
-			robUsed += sts[s].rob
-		}
+		robUsed := sts[0].rob + sts[1].rob + sts[2].rob + sts[3].rob
 		dispatched := false
 		for o, s := 0, first; o < level; o++ {
 			st := &sts[s]
@@ -149,34 +167,28 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			if !st.active {
 				continue
 			}
-			t := st.t
 			if st.frozen {
 				// Miss-blocked with the blocked-ness proven invariant: the
 				// supply dither still advances before the cascade discards
 				// it, exactly as in step().
-				st.acc += t.ilpFrac
-				if st.acc >= 1 {
-					st.acc--
-				}
+				st.acc += st.frac
+				st.acc -= float64(ilpCarry(st.acc))
 				st.cnt.memLatCnt++
 				continue
 			}
 			if st.fe > 0 {
 				st.fe--
-				if t.feKind == evICache {
+				if st.kind == evICache {
 					st.cnt.feICnt++
 				} else {
 					st.cnt.feBCnt++
 				}
 				continue
 			}
-			supply := t.ilpBase
-			st.acc += t.ilpFrac
-			if st.acc >= 1 {
-				supply++
-				st.acc--
-			}
-			k := supply
+			st.acc += st.frac
+			carry := ilpCarry(st.acc)
+			st.acc -= float64(carry)
+			k := st.base + carry
 			cause := 0
 			if st.win < k {
 				k = st.win
@@ -201,18 +213,15 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 					cause = 2
 				}
 			}
-			iqFree := iqSizeF
-			for q := 0; q < level; q++ {
-				iqFree -= sts[q].iq
-			}
+			iqFree := iqSizeF - sts[0].iq - sts[1].iq - sts[2].iq - sts[3].iq
 			if own := iqCap - st.iq; own < iqFree {
 				iqFree = own
 			}
 			if iqFree < 1 {
 				k = 0
 				cause = 5
-			} else if st.miss > 0 && t.depFrac > 0 {
-				if lim := int(iqFree * t.invDepFrac); lim < k {
+			} else if st.miss > 0 && st.depF > 0 {
+				if lim := int(iqFree * st.invD); lim < k {
 					k = lim
 					if lim <= 0 {
 						k = 0
@@ -220,15 +229,12 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 					}
 				}
 			}
-			if !ldqDead && t.loadRatio > 0 && k > 0 {
-				ldqFree := ldqSizeF
-				for q := 0; q < level; q++ {
-					ldqFree -= sts[q].ldq
-				}
+			if !ldqDead && st.loadR > 0 && k > 0 {
+				ldqFree := ldqSizeF - sts[0].ldq - sts[1].ldq - sts[2].ldq - sts[3].ldq
 				if own := ldqCap - st.ldq; own < ldqFree {
 					ldqFree = own
 				}
-				if lim := int(ldqFree * t.invLoadRatio); lim < k {
+				if lim := int(ldqFree * st.invL); lim < k {
 					k = lim
 					if lim <= 0 {
 						k = 0
@@ -236,15 +242,12 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 					}
 				}
 			}
-			if !stqDead && t.storeRatio > 0 && k > 0 {
-				stqFree := stqSizeF
-				for q := 0; q < level; q++ {
-					stqFree -= sts[q].stq
-				}
+			if !stqDead && st.storeR > 0 && k > 0 {
+				stqFree := stqSizeF - sts[0].stq - sts[1].stq - sts[2].stq - sts[3].stq
 				if own := stqCap - st.stq; own < stqFree {
 					stqFree = own
 				}
-				if lim := int(stqFree * t.invStoreRatio); lim < k {
+				if lim := int(stqFree * st.invS); lim < k {
 					k = lim
 					if lim <= 0 {
 						k = 0
@@ -259,7 +262,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 					// partition caps alone block it, the outcome is
 					// invariant until the expiry, so the cascade freezes.
 					st.sync()
-					if c.dispatchBlockedOwn(t) {
+					if c.dispatchBlockedOwn(st.t) {
 						st.frozen = true
 					}
 				} else {
@@ -272,13 +275,13 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			robUsed += k
 			st.rob += k
 			if st.miss > 0 {
-				st.iq += t.depFrac * float64(k)
+				st.iq += st.depF * float64(k)
 			}
 			if !ldqDead {
-				st.ldq += t.loadRatio * float64(k)
+				st.ldq += st.loadR * float64(k)
 			}
 			if !stqDead {
-				st.stq += t.storeRatio * float64(k)
+				st.stq += st.storeR * float64(k)
 			}
 			st.cnt.spec += uint64(k)
 			st.pending += uint64(k)
@@ -290,7 +293,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 				// Window exhausted: fire the stall event exactly where
 				// step() does, on synced thread state (same RNG stream).
 				st.sync()
-				t.fireEvent()
+				st.t.fireEvent()
 				st.load()
 			}
 		}
@@ -301,36 +304,57 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 			// dispatched counts (AdvanceDispatched is chunk-associative) and
 			// refresh the contention rates where step() does.
 			crossed = false
-			for s := 0; s < level; s++ {
+			for s := range sts[:level] {
 				if st := &sts[s]; st.pending > 0 {
 					st.t.inst.AdvanceDispatched(st.pending)
 					st.pending = 0
 				}
 			}
 			c.refreshRates()
-			for s := 0; s < level; s++ {
+			for s := range sts[:level] {
 				if st := &sts[s]; st.active {
+					st.loadRates()
 					st.pb = int64(st.t.inst.InstsToPhaseBoundary())
 				}
 			}
 		}
 		if dispatched {
 			stallStreak = 0
-		} else {
-			// No dispatch this cycle: hand a fully dormant core to the bulk
-			// tier, and end the span after a short stall streak so the bulk
-			// tier can re-screen.
-			dormant := true
-			for s := 0; s < level; s++ {
-				if st := &sts[s]; st.active && !st.frozen && st.fe == 0 {
-					dormant = false
-					break
-				}
+			continue
+		}
+		// No dispatch this cycle: on full dormancy or a short stall streak,
+		// let Tier 1 skip what it can of the rest of the span.
+		dormant := true
+		for s := range sts[:level] {
+			if st := &sts[s]; st.active && !st.frozen && st.fe == 0 {
+				dormant = false
+				break
 			}
-			if dormant {
-				stop = true
-			} else if stallStreak++; stallStreak >= maxStallStreak {
-				stop = true
+		}
+		if !dormant {
+			if stallStreak++; stallStreak < maxStallStreak {
+				continue
+			}
+		}
+		stallStreak = 0
+		if i == n {
+			break
+		}
+		for s := range sts[:level] {
+			if st := &sts[s]; st.active {
+				st.sync()
+				st.t.ilpAcc = st.acc
+			}
+		}
+		c.prio = prio
+		if skipped := c.skipDormant(n - i); skipped > 0 {
+			n -= skipped
+			prio = c.prio
+			for s := range sts[:level] {
+				if st := &sts[s]; st.active {
+					st.load()
+					st.acc = st.t.ilpAcc
+				}
 			}
 		}
 	}
@@ -338,7 +362,7 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 	// --- flush ------------------------------------------------------------
 	c.cycle += i
 	c.prio = prio
-	for s := 0; s < level; s++ {
+	for s := range sts[:level] {
 		st := &sts[s]
 		if !st.active {
 			continue
@@ -347,5 +371,5 @@ func (c *Core) runSpanLiteN(limit uint64) uint64 {
 		st.t.ilpAcc = st.acc
 		flushLite(st.t, i, &st.cnt, st.pending)
 	}
-	return i
+	c.engine.SpanCycles += i
 }
